@@ -306,26 +306,20 @@ pub fn forwarding_query_latencies(scheme: Scheme, cfg: &FwdConfig, queries: usiz
 /// (`dpc_core::distquery`) and return the mean latencies in ms:
 /// `(exspan, advanced)`. Used by fig12 to cross-check the analytic model.
 pub fn simulated_query_means(cfg: &FwdConfig, queries: usize) -> (f64, f64) {
-    use dpc_core::{simulate_query_advanced, simulate_query_exspan, QueryCostModel};
+    use dpc_core::{simulate_query_advanced, simulate_query_exspan};
     let mut rng = SeededRng::seed_from_u64(cfg.seed ^ 0xd15c);
 
     let (mut rt_e, _) = prepare(cfg, ExspanRecorder::new);
     rt_e.run().expect("drain");
     let outs = sample_outputs(&rt_e, queries, &mut rng);
+    let ctx = QueryCtx::from_runtime(&rt_e);
     let exspan_mean = outs
         .iter()
         .map(|(t, _)| {
-            simulate_query_exspan(
-                rt_e.net(),
-                rt_e.recorder(),
-                &rt_e,
-                QueryCostModel::default(),
-                t,
-                None,
-            )
-            .expect("stored output is queryable")
-            .latency
-            .as_millis_f64()
+            simulate_query_exspan(&ctx, rt_e.recorder(), t, None)
+                .expect("stored output is queryable")
+                .latency
+                .as_millis_f64()
         })
         .sum::<f64>()
         / outs.len() as f64;
@@ -334,23 +328,14 @@ pub fn simulated_query_means(cfg: &FwdConfig, queries: usize) -> (f64, f64) {
     let (mut rt_a, _) = prepare(cfg, move |n| AdvancedRecorder::new(n, keys));
     rt_a.run().expect("drain");
     let outs = sample_outputs(&rt_a, queries, &mut rng);
+    let ctx = QueryCtx::from_runtime(&rt_a);
     let adv_mean = outs
         .iter()
         .map(|(t, evid)| {
-            simulate_query_advanced(
-                rt_a.net(),
-                rt_a.recorder(),
-                &rt_a,
-                rt_a.delp(),
-                rt_a.fns(),
-                QueryCostModel::default(),
-                t,
-                evid,
-                None,
-            )
-            .expect("stored output is queryable")
-            .latency
-            .as_millis_f64()
+            simulate_query_advanced(&ctx, rt_a.recorder(), t, evid, None)
+                .expect("stored output is queryable")
+                .latency
+                .as_millis_f64()
         })
         .sum::<f64>()
         / outs.len() as f64;

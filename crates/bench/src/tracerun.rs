@@ -7,9 +7,7 @@
 //! the queries start where the maintenance run ended, each offset by the
 //! previous query's latency so they never overlay.
 
-use dpc_core::{
-    simulate_query_advanced, AdvancedRecorder, QueryCostModel, QueryTrace, TupleResolver,
-};
+use dpc_core::{simulate_query_advanced, AdvancedRecorder, QueryCtx, QueryTrace};
 use dpc_ndlog::{equivalence_keys, programs};
 use dpc_telemetry::json::Json;
 use dpc_telemetry::{
@@ -65,23 +63,14 @@ pub fn run_traced_queries(cfg: &FwdConfig, queries: usize) -> TraceRunOutput {
     let mut rng = SeededRng::seed_from_u64(cfg.seed ^ 0x7ace);
     let outs = sample_outputs(&rt, queries, &mut rng);
     let mut cursor = rt.now();
+    let ctx = QueryCtx::from_runtime(&rt);
     for (t, evid) in &outs {
         let qt = QueryTrace {
             telemetry: telemetry.clone(),
             start: cursor,
         };
-        let res = simulate_query_advanced(
-            rt.net(),
-            rt.recorder(),
-            &rt as &dyn TupleResolver,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
-            t,
-            evid,
-            Some(&qt),
-        )
-        .expect("stored output is queryable");
+        let res = simulate_query_advanced(&ctx, rt.recorder(), t, evid, Some(&qt))
+            .expect("stored output is queryable");
         cursor += res.latency;
     }
 

@@ -1,27 +1,29 @@
 //! The Section 5.6 query executed as *actual messages* on the simulated
 //! network.
 //!
-//! [`crate::query`] computes query latency analytically (sums of path
-//! latencies, processing and transfer times). This module is the
-//! mechanical counterpart: the recursive chain query of Section 5.6 runs
-//! as a discrete-event simulation — a query message travels the
-//! `(NLoc, NRID)` chain hop by hop, accumulating the fetched rows and
-//! leaf tuples, and the collected entries return to the querier, which
-//! re-derives the intermediate tuples. Link queuing and transmission
-//! delays come from the simulator itself.
+//! [`crate::query`] prices a query's fetch plan analytically (sums of
+//! path latencies, processing and transfer times). This module executes
+//! the same plan as a discrete-event simulation. For Basic and Advanced a
+//! query message travels the `(NLoc, NRID)` chain stop by stop,
+//! accumulating the fetched rows and leaf tuples, and the collected
+//! entries return to the querier, which re-derives the intermediate
+//! tuples. For ExSPAN the querier sends one request per derivation level
+//! and waits for each reply. Link queuing and transmission delays come
+//! from the simulator itself.
 //!
-//! The test suite checks that the simulated latency and the analytic
-//! model agree to within a small factor — the cost model behind Figure 12
-//! is validated by construction, not assumed.
+//! Both sides read the tables through one walk, so they fetch the same
+//! rows and bytes; the test suite checks that the simulated latency and
+//! the analytic model agree to within a small factor — the cost model
+//! behind Figure 12 is validated by construction, not assumed.
 
-use dpc_common::{Error, EvId, NodeId, Result, Rid, Tuple};
-use dpc_engine::FnRegistry;
-use dpc_ndlog::Delp;
-use dpc_netsim::{Network, Sim, SimTime};
+use dpc_common::{Error, EvId, NodeId, Result, Tuple};
+use dpc_netsim::{Sim, SimTime};
 use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
 
-use crate::query::{AdvancedStore, QueryCostModel, TupleResolver};
-use crate::reconstruct::{reconstruct, ChainLevel};
+use crate::basic::BasicRecorder;
+use crate::exspan::ExspanRecorder;
+use crate::plan::{walk_advanced, walk_basic, walk_exspan, Derivation, Route, Stop};
+use crate::query::{AdvancedStore, QueryCtx};
 use crate::tree::ProvTree;
 
 /// Outcome of a simulated distributed query.
@@ -65,7 +67,7 @@ struct QTracer {
 
 impl QTracer {
     /// Offset `sim` to the trace start, attach the sink and open the root
-    /// span annotated with `scheme`.
+    /// span.
     fn start<M>(trace: Option<&QueryTrace>, sim: &mut Sim<M>, querier: NodeId) -> QTracer {
         let Some(qt) = trace else {
             return QTracer {
@@ -105,12 +107,13 @@ impl QTracer {
         s
     }
 
-    /// Like [`QTracer::stage`] with rows/bytes annotations.
-    fn fetch(&self, node: NodeId, start: SimTime, end: SimTime, rows: usize, bytes: usize) {
+    /// Like [`QTracer::stage`] for reading `stop`, annotated with the rows
+    /// and bytes fetched there.
+    fn fetch(&self, name: &'static str, stop: &Stop, start: SimTime, end: SimTime) {
         let Some(t) = &self.tel else { return };
-        let s = self.stage("query.fetch", node, start, end);
-        t.span_attr(s, "rows", AttrValue::UInt(rows as u64));
-        t.span_attr(s, "bytes", AttrValue::UInt(bytes as u64));
+        let s = self.stage(name, stop.node, start, end);
+        t.span_attr(s, "rows", AttrValue::UInt(stop.items.len() as u64));
+        t.span_attr(s, "bytes", AttrValue::UInt(stop.bytes() as u64));
     }
 
     /// Close the root at `end` with the run totals.
@@ -123,24 +126,13 @@ impl QTracer {
     }
 }
 
-/// The traveling query's accumulated state.
-#[derive(Debug, Clone)]
-struct State {
-    querier: NodeId,
-    evid: EvId,
-    levels: Vec<ChainLevel>,
-    event: Option<Tuple>,
-    /// Serialized size of the collected entries so far.
-    payload: usize,
-}
-
 /// Messages of the query protocol.
 #[derive(Debug, Clone)]
 enum QMsg {
-    /// Process the chain node `rid` here, then continue.
-    Step { rid: Rid, state: State },
-    /// All entries collected; deliver to the querier.
-    Done { state: State },
+    /// Read stop `i` of the plan here.
+    Stop(usize),
+    /// The rows read at stop `i` arrive back at the querier.
+    Home(usize),
     /// Local processing finished: forward `inner` to `to` with `bytes` on
     /// the wire (or locally when already there).
     Forward {
@@ -153,365 +145,125 @@ enum QMsg {
 /// Base wire size of a query request (ids and bookkeeping).
 const REQUEST_BYTES: usize = 48;
 
-/// Execute the Section 5.6 chain query for `output`/`evid` as simulated
-/// messages over `net`, against an Advanced-layout store.
-#[allow(clippy::too_many_arguments)]
+/// Execute walked derivations as messages over a private copy of the
+/// network, one after another, and return the last one's tree.
+///
+/// Each plan starts with the `prov` lookup at the querier (the `lookup`
+/// span), then reads its remaining stops in order (`query.fetch` spans).
+/// A [`Route::Chain`] query carries everything collected so far from stop
+/// to stop and returns once from the tail; a [`Route::RoundTrips`] query
+/// sends one request per stop and waits for each reply. Re-executing the
+/// chain at the querier closes the plan (`query.reexec`).
+fn execute(
+    ctx: &QueryCtx<'_>,
+    mut walked: Vec<Derivation>,
+    scheme: &str,
+    lookup: &'static str,
+    trace: Option<&QueryTrace>,
+) -> Result<SimulatedQuery> {
+    let querier = walked[0].plan.querier;
+    let mut sim: Sim<QMsg> = Sim::new(ctx.net.clone());
+    let tr = QTracer::start(trace, &mut sim, querier);
+    tr.attr("scheme", AttrValue::Str(scheme.into()));
+    let proc = |rows: usize| SimTime::from_nanos(ctx.cost.per_row_proc.as_nanos() * rows as u64);
+    let mut hops = 0;
+    for Derivation { plan, .. } in &walked {
+        let stops = &plan.stops;
+        let now = sim.now();
+        let first = proc(stops[0].items.len());
+        tr.fetch(lookup, &stops[0], now, now + first);
+        let depart = QMsg::Forward {
+            to: stops[1].node,
+            bytes: REQUEST_BYTES,
+            inner: Box::new(QMsg::Stop(1)),
+        };
+        sim.schedule_local(querier, first, depart);
+        // Bytes collected by a traveling chain query so far.
+        let mut payload = 0;
+        loop {
+            let d = sim.pop().ok_or_else(|| {
+                Error::ProvenanceLookup("query never returned to the querier".into())
+            })?;
+            let node = d.dst;
+            match d.msg {
+                QMsg::Forward { to, bytes, inner } => {
+                    sim.send_routed_traced(node, to, bytes, *inner, tr.root)?;
+                }
+                QMsg::Stop(i) => {
+                    let stop = &stops[i];
+                    let (now, done) = (sim.now(), proc(stop.items.len()));
+                    tr.fetch("query.fetch", stop, now, now + done);
+                    payload += stop.bytes();
+                    let (to, bytes, inner) = match (plan.route, stops.get(i + 1)) {
+                        (Route::Chain, Some(next)) => {
+                            (next.node, REQUEST_BYTES + payload, QMsg::Stop(i + 1))
+                        }
+                        (Route::Chain, None) => (querier, payload, QMsg::Home(i)),
+                        (Route::RoundTrips, _) => (querier, stop.bytes(), QMsg::Home(i)),
+                    };
+                    let inner = Box::new(inner);
+                    sim.schedule_local(node, done, QMsg::Forward { to, bytes, inner });
+                }
+                // A round-trip reply names the next dependent lookup; a
+                // chain only comes home from its tail.
+                QMsg::Home(i) => match stops.get(i + 1) {
+                    Some(next) => {
+                        let req = QMsg::Stop(i + 1);
+                        sim.send_routed_traced(querier, next.node, REQUEST_BYTES, req, tr.root)?;
+                    }
+                    None => break,
+                },
+            }
+        }
+        if plan.reexecs > 0 {
+            let now = sim.now();
+            let reexec = ctx.cost.reexec_per_rule.as_nanos() * plan.reexecs as u64;
+            let rebuilt = now + SimTime::from_nanos(reexec);
+            tr.stage("query.reexec", querier, now, rebuilt);
+            // The heap is empty: this just advances the clock.
+            let _ = sim.pop_until(rebuilt);
+        }
+        hops += stops.len() - 1;
+    }
+    let (end, messages, bytes) = (sim.now(), sim.stats().messages(), sim.stats().total_bytes());
+    tr.attr("hops", AttrValue::UInt(hops as u64));
+    tr.finish(end, messages, bytes);
+    Ok(SimulatedQuery {
+        tree: walked.pop().expect("a walk yields a derivation").tree,
+        latency: end - tr.base,
+        messages,
+        bytes,
+    })
+}
+
+/// Execute the Advanced query of Section 5.6 for `output`/`evid` as
+/// simulated messages: the chain query of every stored derivation tried
+/// before the one that reproduces `output`.
 pub fn simulate_query_advanced<S: AdvancedStore>(
-    net: &Network,
+    ctx: &QueryCtx<'_>,
     rec: &S,
-    resolver: &dyn TupleResolver,
-    delp: &Delp,
-    fns: &FnRegistry,
-    cost: QueryCostModel,
     output: &Tuple,
     evid: &EvId,
     trace: Option<&QueryTrace>,
 ) -> Result<SimulatedQuery> {
-    let querier = output.loc()?;
-    let provs = rec.lookup_prov(querier, &output.vid(), evid);
-    let prov = provs.first().ok_or_else(|| {
-        Error::ProvenanceLookup(format!("no prov row for {output} / {evid} at {querier}"))
-    })?;
-
-    let mut sim: Sim<QMsg> = Sim::new(net.clone());
-    let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("advanced".into()));
-    // The prov lookup happens at the querier, then the query departs.
+    let walked = walk_advanced(ctx, rec, output, evid, false)?;
     // Advanced resolves the prov row through the equivalence-tagged
     // table, so the initial lookup is equivalence work.
-    tr.stage(
-        "query.eq_lookup",
-        querier,
-        sim.now(),
-        sim.now() + cost.per_row_proc,
-    );
-    let state = State {
-        querier,
-        evid: *evid,
-        levels: Vec::new(),
-        event: None,
-        payload: 0,
-    };
-    sim.schedule_local(
-        querier,
-        cost.per_row_proc,
-        QMsg::Forward {
-            to: prov.rloc,
-            bytes: REQUEST_BYTES,
-            inner: Box::new(QMsg::Step {
-                rid: prov.rid,
-                state,
-            }),
-        },
-    );
-
-    let mut finished: Option<State> = None;
-    while let Some(d) = sim.pop() {
-        let node = d.dst;
-        match d.msg {
-            QMsg::Forward { to, bytes, inner } => {
-                if to == node {
-                    sim.schedule_local(node, SimTime::ZERO, *inner);
-                } else {
-                    sim.send_routed_traced(node, to, bytes, *inner, tr.root)?;
-                }
-            }
-            QMsg::Step { rid, mut state } => {
-                let step_at = sim.now();
-                let view = rec.lookup_rule_exec(node, &rid).ok_or_else(|| {
-                    Error::ProvenanceLookup(format!("no ruleExec node {rid} at {node}"))
-                })?;
-                let mut slow = Vec::with_capacity(view.vids.len());
-                let mut fetched = 4 + 20 + (4 + view.rule.len()) + 4 + view.vids.len() * 20 + 25;
-                for v in &view.vids {
-                    let t = resolver.tuple_by_vid(node, v).ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("slow tuple {v} missing at {node}"))
-                    })?;
-                    fetched += dpc_common::StorageSize::storage_size(t);
-                    slow.push(t.clone());
-                }
-                let rows = 1 + slow.len();
-                state.levels.push(ChainLevel {
-                    rule: view.rule.clone(),
-                    slow,
-                });
-                state.payload += fetched;
-                let proc = SimTime::from_nanos(cost.per_row_proc.as_nanos() * rows as u64);
-                tr.fetch(node, step_at, step_at + proc, rows, fetched);
-                match view.next {
-                    Some((nloc, nrid)) => {
-                        let bytes = REQUEST_BYTES + state.payload;
-                        sim.schedule_local(
-                            node,
-                            proc,
-                            QMsg::Forward {
-                                to: nloc,
-                                bytes,
-                                inner: Box::new(QMsg::Step { rid: nrid, state }),
-                            },
-                        );
-                    }
-                    None => {
-                        // Chain tail: fetch the materialized input event.
-                        let ev = resolver.event_by_evid(node, &state.evid).ok_or_else(|| {
-                            Error::ProvenanceLookup(format!(
-                                "event {} not materialized at {node}",
-                                state.evid
-                            ))
-                        })?;
-                        state.payload += dpc_common::StorageSize::storage_size(ev);
-                        state.event = Some(ev.clone());
-                        let (querier, bytes) = (state.querier, state.payload);
-                        sim.schedule_local(
-                            node,
-                            proc,
-                            QMsg::Forward {
-                                to: querier,
-                                bytes,
-                                inner: Box::new(QMsg::Done { state }),
-                            },
-                        );
-                    }
-                }
-            }
-            QMsg::Done { state } => {
-                debug_assert_eq!(node, state.querier);
-                finished = Some(state);
-                break;
-            }
-        }
-    }
-
-    let state = finished
-        .ok_or_else(|| Error::ProvenanceLookup("query never returned to the querier".into()))?;
-    let network_latency = sim.now();
-    let event = state.event.expect("set on the tail branch");
-    let reexec = SimTime::from_nanos(cost.reexec_per_rule.as_nanos() * state.levels.len() as u64);
-    tr.stage(
-        "query.reexec",
-        querier,
-        network_latency,
-        network_latency + reexec,
-    );
-    tr.attr("hops", AttrValue::UInt(state.levels.len() as u64));
-    tr.finish(
-        network_latency + reexec,
-        sim.stats().messages(),
-        sim.stats().total_bytes(),
-    );
-    let tree = reconstruct(delp, fns, &state.levels, &event)?;
-    if tree.output() != output {
-        return Err(Error::ProvenanceLookup(format!(
-            "reconstruction produced {} instead of {output}",
-            tree.output()
-        )));
-    }
-    Ok(SimulatedQuery {
-        tree,
-        latency: (network_latency - tr.base) + reexec,
-        messages: sim.stats().messages(),
-        bytes: sim.stats().total_bytes(),
-    })
+    execute(ctx, walked, "advanced", "query.eq_lookup", trace)
 }
 
 /// Execute the Basic chain query (Section 4) for `output` as simulated
-/// messages. Identical traveling-query shape to
-/// [`simulate_query_advanced`], except the input event is referenced by
-/// its `vid` in the chain tail's `VIDS` column (Table 2) instead of by
-/// `evid`.
-#[allow(clippy::too_many_arguments)]
+/// messages. Same traveling-query shape as [`simulate_query_advanced`];
+/// the input event is referenced by its `vid` in the chain tail's `VIDS`
+/// column (Table 2) instead of by `evid`.
 pub fn simulate_query_basic(
-    net: &Network,
-    rec: &crate::basic::BasicRecorder,
-    resolver: &dyn TupleResolver,
-    delp: &Delp,
-    fns: &FnRegistry,
-    cost: QueryCostModel,
+    ctx: &QueryCtx<'_>,
+    rec: &BasicRecorder,
     output: &Tuple,
     trace: Option<&QueryTrace>,
 ) -> Result<SimulatedQuery> {
-    let querier = output.loc()?;
-    let prov = rec
-        .prov_row(querier, &output.vid())
-        .ok_or_else(|| Error::ProvenanceLookup(format!("no prov row for {output} at {querier}")))?
-        .clone();
-    let (rloc, rid) = (
-        prov.rloc.expect("basic prov rows reference a rule"),
-        prov.rid.expect("basic prov rows reference a rule"),
-    );
-
-    let mut sim: Sim<QMsg> = Sim::new(net.clone());
-    let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("basic".into()));
-    tr.stage(
-        "query.lookup",
-        querier,
-        sim.now(),
-        sim.now() + cost.per_row_proc,
-    );
-    let state = State {
-        querier,
-        evid: EvId::of_bytes(b"basic-unused"),
-        levels: Vec::new(),
-        event: None,
-        payload: 0,
-    };
-    sim.schedule_local(
-        querier,
-        cost.per_row_proc,
-        QMsg::Forward {
-            to: rloc,
-            bytes: REQUEST_BYTES,
-            inner: Box::new(QMsg::Step { rid, state }),
-        },
-    );
-
-    let mut finished: Option<State> = None;
-    while let Some(d) = sim.pop() {
-        let node = d.dst;
-        match d.msg {
-            QMsg::Forward { to, bytes, inner } => {
-                if to == node {
-                    sim.schedule_local(node, SimTime::ZERO, *inner);
-                } else {
-                    sim.send_routed_traced(node, to, bytes, *inner, tr.root)?;
-                }
-            }
-            QMsg::Step { rid, mut state } => {
-                let step_at = sim.now();
-                let row = rec
-                    .rule_exec(node, &rid)
-                    .ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("no ruleExec row {rid} at {node}"))
-                    })?
-                    .clone();
-                // On the chain tail the first vid is the input event.
-                let (event_vid, slow_vids): (Option<dpc_common::Vid>, &[dpc_common::Vid]) =
-                    if row.next.is_none() {
-                        let (first, rest) = row.vids.split_first().ok_or_else(|| {
-                            Error::ProvenanceLookup(format!("chain tail {rid} lacks its event vid"))
-                        })?;
-                        (Some(*first), rest)
-                    } else {
-                        (None, &row.vids[..])
-                    };
-                let mut fetched = row.size_bytes(true);
-                let mut slow = Vec::with_capacity(slow_vids.len());
-                for v in slow_vids {
-                    let t = resolver.tuple_by_vid(node, v).ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("slow tuple {v} missing at {node}"))
-                    })?;
-                    fetched += dpc_common::StorageSize::storage_size(t);
-                    slow.push(t.clone());
-                }
-                let rows = 1 + slow.len();
-                state.levels.push(ChainLevel {
-                    rule: row.rule.clone(),
-                    slow,
-                });
-                state.payload += fetched;
-                let proc = SimTime::from_nanos(cost.per_row_proc.as_nanos() * rows as u64);
-                tr.fetch(node, step_at, step_at + proc, rows, fetched);
-                match row.next {
-                    Some((nloc, nrid)) => {
-                        let bytes = REQUEST_BYTES + state.payload;
-                        sim.schedule_local(
-                            node,
-                            proc,
-                            QMsg::Forward {
-                                to: nloc,
-                                bytes,
-                                inner: Box::new(QMsg::Step { rid: nrid, state }),
-                            },
-                        );
-                    }
-                    None => {
-                        let ev_vid = event_vid.expect("set on the tail branch");
-                        let ev = resolver.tuple_by_vid(node, &ev_vid).ok_or_else(|| {
-                            Error::ProvenanceLookup(format!(
-                                "event tuple {ev_vid} missing at {node}"
-                            ))
-                        })?;
-                        state.payload += dpc_common::StorageSize::storage_size(ev);
-                        state.event = Some(ev.clone());
-                        let (querier, bytes) = (state.querier, state.payload);
-                        sim.schedule_local(
-                            node,
-                            proc,
-                            QMsg::Forward {
-                                to: querier,
-                                bytes,
-                                inner: Box::new(QMsg::Done { state }),
-                            },
-                        );
-                    }
-                }
-            }
-            QMsg::Done { state } => {
-                debug_assert_eq!(node, state.querier);
-                finished = Some(state);
-                break;
-            }
-        }
-    }
-
-    let state = finished
-        .ok_or_else(|| Error::ProvenanceLookup("query never returned to the querier".into()))?;
-    let network_latency = sim.now();
-    let event = state.event.expect("set on the tail branch");
-    let reexec = SimTime::from_nanos(cost.reexec_per_rule.as_nanos() * state.levels.len() as u64);
-    tr.stage(
-        "query.reexec",
-        querier,
-        network_latency,
-        network_latency + reexec,
-    );
-    tr.attr("hops", AttrValue::UInt(state.levels.len() as u64));
-    tr.finish(
-        network_latency + reexec,
-        sim.stats().messages(),
-        sim.stats().total_bytes(),
-    );
-    let tree = reconstruct(delp, fns, &state.levels, &event)?;
-    if tree.output() != output {
-        return Err(Error::ProvenanceLookup(format!(
-            "reconstruction produced {} instead of {output}",
-            tree.output()
-        )));
-    }
-    Ok(SimulatedQuery {
-        tree,
-        latency: (network_latency - tr.base) + reexec,
-        messages: sim.stats().messages(),
-        bytes: sim.stats().total_bytes(),
-    })
-}
-
-/// A fetched child: its content, the deriving rule execution (if any),
-/// and the serialized size of what was shipped.
-type FetchedChild = (Tuple, Option<(NodeId, Rid)>, usize);
-
-/// Messages of the querier-driven ExSPAN protocol.
-#[derive(Debug, Clone)]
-enum EMsg {
-    /// Fetch the ruleExec row `rid` plus all its children's prov rows and
-    /// contents; reply to `reply_to`.
-    Req { rid: Rid, reply_to: NodeId },
-    /// One level's worth of entries, shipped back to the querier.
-    Resp {
-        rule: String,
-        slow: Vec<Tuple>,
-        /// The event child: its content, and its deriving rule execution
-        /// if it is itself derived.
-        event: Tuple,
-        event_deriv: Option<(NodeId, Rid)>,
-    },
-    /// Local processing done; send `inner` to `to`.
-    Send {
-        to: NodeId,
-        bytes: usize,
-        inner: Box<EMsg>,
-    },
+    let walked = walk_basic(ctx, rec, output)?;
+    execute(ctx, vec![walked], "basic", "query.lookup", trace)
 }
 
 /// Execute ExSPAN's querier-driven recursive query for `output` as
@@ -519,195 +271,23 @@ enum EMsg {
 /// level, with every level's intermediate tuple content shipped back —
 /// the mechanical version of the Figure 12 baseline.
 pub fn simulate_query_exspan(
-    net: &Network,
-    rec: &crate::exspan::ExspanRecorder,
-    resolver: &dyn TupleResolver,
-    cost: QueryCostModel,
+    ctx: &QueryCtx<'_>,
+    rec: &ExspanRecorder,
     output: &Tuple,
     trace: Option<&QueryTrace>,
 ) -> Result<SimulatedQuery> {
-    let querier = output.loc()?;
-    let prov = rec
-        .prov_row(querier, &output.vid())
-        .ok_or_else(|| Error::ProvenanceLookup(format!("no prov row for {output} at {querier}")))?
-        .clone();
-    let (Some(rid0), Some(rloc0)) = (prov.rid, prov.rloc) else {
-        return Err(Error::ProvenanceLookup(format!(
-            "{output} is a base tuple, not a derived output"
-        )));
-    };
-
-    let mut sim: Sim<EMsg> = Sim::new(net.clone());
-    let tr = QTracer::start(trace, &mut sim, querier);
-    tr.attr("scheme", AttrValue::Str("exspan".into()));
-    tr.stage(
-        "query.lookup",
-        querier,
-        sim.now(),
-        sim.now() + SimTime::from_nanos(cost.per_row_proc.as_nanos() * 2),
-    );
-    // The local prov+content lookup, then the first request departs.
-    sim.schedule_local(
-        querier,
-        SimTime::from_nanos(cost.per_row_proc.as_nanos() * 2),
-        EMsg::Send {
-            to: rloc0,
-            bytes: REQUEST_BYTES,
-            inner: Box::new(EMsg::Req {
-                rid: rid0,
-                reply_to: querier,
-            }),
-        },
-    );
-
-    // Collected levels, root-first: (rule, derived tuple, slow tuples).
-    let mut levels: Vec<(String, Tuple, Vec<Tuple>)> = Vec::new();
-    let mut cur_output = output.clone();
-    let mut leaf_event: Option<Tuple> = None;
-
-    while let Some(d) = sim.pop() {
-        let node = d.dst;
-        match d.msg {
-            EMsg::Send { to, bytes, inner } => {
-                if to == node {
-                    sim.schedule_local(node, SimTime::ZERO, *inner);
-                } else {
-                    sim.send_routed_traced(node, to, bytes, *inner, tr.root)?;
-                }
-            }
-            EMsg::Req { rid, reply_to } => {
-                let req_at = sim.now();
-                let re = rec
-                    .rule_exec(node, &rid)
-                    .ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("no ruleExec row {rid} at {node}"))
-                    })?
-                    .clone();
-                let mut bytes = re.size_bytes(false);
-                let mut rows = 1usize;
-                let fetch = |vid: &dpc_common::Vid| -> Result<FetchedChild> {
-                    let p = rec.prov_row(node, vid).ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("no prov row for child {vid} at {node}"))
-                    })?;
-                    let t = resolver.tuple_by_vid(node, vid).ok_or_else(|| {
-                        Error::ProvenanceLookup(format!("child content {vid} missing at {node}"))
-                    })?;
-                    let sz = dpc_common::StorageSize::storage_size(p)
-                        + dpc_common::StorageSize::storage_size(t);
-                    let deriv = match (p.rid, p.rloc) {
-                        (Some(r), Some(l)) => Some((l, r)),
-                        _ => None,
-                    };
-                    Ok((t.clone(), deriv, sz))
-                };
-                let first = re.vids.first().ok_or_else(|| {
-                    Error::ProvenanceLookup(format!("ruleExec {rid} has no children"))
-                })?;
-                let (event, event_deriv, sz) = fetch(first)?;
-                bytes += sz;
-                rows += 2;
-                let mut slow = Vec::with_capacity(re.vids.len() - 1);
-                for v in &re.vids[1..] {
-                    let (t, deriv, sz) = fetch(v)?;
-                    if deriv.is_some() {
-                        return Err(Error::ProvenanceLookup(format!(
-                            "slow child {v} of {rid} is unexpectedly derived"
-                        )));
-                    }
-                    bytes += sz;
-                    rows += 2;
-                    slow.push(t);
-                }
-                let proc = SimTime::from_nanos(cost.per_row_proc.as_nanos() * rows as u64);
-                tr.fetch(node, req_at, req_at + proc, rows, bytes);
-                sim.schedule_local(
-                    node,
-                    proc,
-                    EMsg::Send {
-                        to: reply_to,
-                        bytes,
-                        inner: Box::new(EMsg::Resp {
-                            rule: re.rule.clone(),
-                            slow,
-                            event,
-                            event_deriv,
-                        }),
-                    },
-                );
-            }
-            EMsg::Resp {
-                rule,
-                slow,
-                event,
-                event_deriv,
-            } => {
-                debug_assert_eq!(node, querier);
-                levels.push((rule, cur_output.clone(), slow));
-                cur_output = event.clone();
-                match event_deriv {
-                    Some((next_loc, next_rid)) => {
-                        sim.send_routed_traced(
-                            querier,
-                            next_loc,
-                            REQUEST_BYTES,
-                            EMsg::Req {
-                                rid: next_rid,
-                                reply_to: querier,
-                            },
-                            tr.root,
-                        )?;
-                    }
-                    None => {
-                        leaf_event = Some(event);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    let event = leaf_event
-        .ok_or_else(|| Error::ProvenanceLookup("query never reached a base event".into()))?;
-    tr.attr("hops", AttrValue::UInt(levels.len() as u64));
-    tr.finish(sim.now(), sim.stats().messages(), sim.stats().total_bytes());
-    // Fold the levels (root-first) into the tree, leaf up.
-    let (rule, out_t, slow) = levels.pop().expect("at least one level");
-    let mut tree = ProvTree::Leaf {
-        rule,
-        output: out_t,
-        event,
-        slow,
-    };
-    while let Some((rule, out_t, slow)) = levels.pop() {
-        tree = ProvTree::Node {
-            rule,
-            output: out_t,
-            child: Box::new(tree),
-            slow,
-        };
-    }
-    if tree.output() != output {
-        return Err(Error::ProvenanceLookup(format!(
-            "assembled {} instead of {output}",
-            tree.output()
-        )));
-    }
-    Ok(SimulatedQuery {
-        tree,
-        latency: sim.now() - tr.base,
-        messages: sim.stats().messages(),
-        bytes: sim.stats().total_bytes(),
-    })
+    let walked = walk_exspan(ctx, rec, output)?;
+    execute(ctx, vec![walked], "exspan", "query.lookup", trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::advanced::AdvancedRecorder;
-    use crate::query::{query_advanced, QueryCtx};
+    use crate::query::{query_advanced, QueryCostModel};
     use crate::reference::GroundTruthRecorder;
     use dpc_apps::forwarding;
-    use dpc_engine::{Runtime, TeeRecorder};
+    use dpc_engine::{ProvRecorder, Runtime, TeeRecorder};
     use dpc_ndlog::{equivalence_keys, programs};
     use dpc_netsim::{topo, Link};
 
@@ -715,10 +295,9 @@ mod tests {
         NodeId(i)
     }
 
-    fn setup(len: usize) -> Runtime<TeeRecorder<AdvancedRecorder, GroundTruthRecorder>> {
-        let keys = equivalence_keys(&programs::packet_forwarding());
+    /// One packet forwarded along a line of `len` nodes, recorded by `rec`.
+    fn line_run<R: ProvRecorder>(len: usize, rec: R) -> Runtime<R> {
         let net = topo::line(len, Link::STUB_STUB);
-        let rec = TeeRecorder::new(AdvancedRecorder::new(len, keys), GroundTruthRecorder::new());
         let mut rt = forwarding::make_runtime(net, rec);
         let dst = n(len as u32 - 1);
         forwarding::install_routes_for_pairs(&mut rt, &[(n(0), dst)]).unwrap();
@@ -728,17 +307,19 @@ mod tests {
         rt
     }
 
+    fn setup(len: usize) -> Runtime<TeeRecorder<AdvancedRecorder, GroundTruthRecorder>> {
+        let keys = equivalence_keys(&programs::packet_forwarding());
+        let rec = TeeRecorder::new(AdvancedRecorder::new(len, keys), GroundTruthRecorder::new());
+        line_run(len, rec)
+    }
+
     #[test]
     fn simulated_query_returns_the_ground_truth_tree() {
         let rt = setup(5);
         let out = rt.outputs()[0].clone();
         let res = simulate_query_advanced(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
             &out.tuple,
             &out.evid,
             None,
@@ -759,20 +340,11 @@ mod tests {
         let rt = setup(7);
         let out = rt.outputs()[0].clone();
         let cost = QueryCostModel::default();
-        let simulated = simulate_query_advanced(
-            rt.net(),
-            &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            cost,
-            &out.tuple,
-            &out.evid,
-            None,
-        )
-        .unwrap();
         let mut ctx = QueryCtx::from_runtime(&rt);
         ctx.cost = cost;
+        let simulated =
+            simulate_query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid, None)
+                .unwrap();
         let analytic = query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid)
             .unwrap()
             .latency;
@@ -788,15 +360,8 @@ mod tests {
     fn setup_exspan(
         len: usize,
     ) -> Runtime<TeeRecorder<crate::ExspanRecorder, GroundTruthRecorder>> {
-        let net = topo::line(len, Link::STUB_STUB);
         let rec = TeeRecorder::new(crate::ExspanRecorder::new(len), GroundTruthRecorder::new());
-        let mut rt = forwarding::make_runtime(net, rec);
-        let dst = n(len as u32 - 1);
-        forwarding::install_routes_for_pairs(&mut rt, &[(n(0), dst)]).unwrap();
-        rt.inject(forwarding::packet(n(0), n(0), dst, forwarding::payload(1)))
-            .unwrap();
-        rt.run().unwrap();
-        rt
+        line_run(len, rec)
     }
 
     #[test]
@@ -804,10 +369,8 @@ mod tests {
         let rt = setup_exspan(5);
         let out = rt.outputs()[0].clone();
         let res = simulate_query_exspan(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            QueryCostModel::default(),
             &out.tuple,
             None,
         )
@@ -825,17 +388,10 @@ mod tests {
         let rt = setup_exspan(7);
         let out = rt.outputs()[0].clone();
         let cost = QueryCostModel::default();
-        let simulated = simulate_query_exspan(
-            rt.net(),
-            &rt.recorder().primary,
-            &rt,
-            cost,
-            &out.tuple,
-            None,
-        )
-        .unwrap();
         let mut ctx = QueryCtx::from_runtime(&rt);
         ctx.cost = cost;
+        let simulated =
+            simulate_query_exspan(&ctx, &rt.recorder().primary, &out.tuple, None).unwrap();
         let analytic = crate::query::query_exspan(&ctx, &rt.recorder().primary, &out.tuple)
             .unwrap()
             .latency;
@@ -857,10 +413,8 @@ mod tests {
         let rt_e = setup_exspan(len);
         let out_e = rt_e.outputs()[0].clone();
         let exspan = simulate_query_exspan(
-            rt_e.net(),
+            &QueryCtx::from_runtime(&rt_e),
             &rt_e.recorder().primary,
-            &rt_e,
-            QueryCostModel::default(),
             &out_e.tuple,
             None,
         )
@@ -869,12 +423,8 @@ mod tests {
         let rt_a = setup(len);
         let out_a = rt_a.outputs()[0].clone();
         let advanced = simulate_query_advanced(
-            rt_a.net(),
+            &QueryCtx::from_runtime(&rt_a),
             &rt_a.recorder().primary,
-            &rt_a,
-            rt_a.delp(),
-            rt_a.fns(),
-            QueryCostModel::default(),
             &out_a.tuple,
             &out_a.evid,
             None,
@@ -905,12 +455,8 @@ mod tests {
         rt.run().unwrap();
         let out = rt.outputs()[0].clone();
         let res = simulate_query_basic(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
             &out.tuple,
             None,
         )
@@ -927,12 +473,8 @@ mod tests {
         let rt_a = setup(len);
         let out_a = rt_a.outputs()[0].clone();
         let adv = simulate_query_advanced(
-            rt_a.net(),
+            &QueryCtx::from_runtime(&rt_a),
             &rt_a.recorder().primary,
-            &rt_a,
-            rt_a.delp(),
-            rt_a.fns(),
-            QueryCostModel::default(),
             &out_a.tuple,
             &out_a.evid,
             None,
@@ -953,12 +495,8 @@ mod tests {
             start: SimTime::ZERO,
         };
         let res = simulate_query_advanced(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
             &out.tuple,
             &out.evid,
             Some(&qt),
@@ -998,12 +536,8 @@ mod tests {
                 start: cursor,
             };
             let res = simulate_query_advanced(
-                rt.net(),
+                &QueryCtx::from_runtime(&rt),
                 &rt.recorder().primary,
-                &rt,
-                rt.delp(),
-                rt.fns(),
-                QueryCostModel::default(),
                 &out.tuple,
                 &out.evid,
                 Some(&qt),
@@ -1035,10 +569,8 @@ mod tests {
             start: SimTime::ZERO,
         };
         let res = simulate_query_exspan(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            QueryCostModel::default(),
             &out.tuple,
             Some(&qt),
         )
@@ -1060,12 +592,8 @@ mod tests {
         let rt = setup(3);
         let bogus = Tuple::new("recv", vec![dpc_common::Value::Addr(n(2))]);
         let err = simulate_query_advanced(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
             &bogus,
             &rt.outputs()[0].evid,
             None,
@@ -1081,12 +609,8 @@ mod tests {
         let rt = setup(6); // 5 hops: r1 x5? (line of 6: 5 r1 + 1 r2)
         let out = rt.outputs()[0].clone();
         let res = simulate_query_advanced(
-            rt.net(),
+            &QueryCtx::from_runtime(&rt),
             &rt.recorder().primary,
-            &rt,
-            rt.delp(),
-            rt.fns(),
-            QueryCostModel::default(),
             &out.tuple,
             &out.evid,
             None,
@@ -1095,5 +619,133 @@ mod tests {
         // Forward: querier(n5) -> n5 (local) is free; chain walks n5 ->
         // n4 -> ... -> n0 (5 link messages); return n0 -> n5 (5 hops).
         assert_eq!(res.messages, 10);
+    }
+
+    /// A telemetry sink tracing every span, and a query trace into it.
+    fn traced() -> (TelemetryHandle, QueryTrace) {
+        let tel = dpc_telemetry::Telemetry::handle();
+        tel.set_span_sampling(1);
+        let qt = QueryTrace {
+            telemetry: tel.clone(),
+            start: SimTime::ZERO,
+        };
+        (tel, qt)
+    }
+
+    /// Rows and bytes summed over a traced query's lookup and fetch spans.
+    fn fetched(tel: &TelemetryHandle) -> (usize, usize) {
+        let uint = |s: &dpc_telemetry::SpanRecord, key| match s.attr(key) {
+            Some(AttrValue::UInt(v)) => *v as usize,
+            _ => 0,
+        };
+        tel.spans()
+            .iter()
+            .filter(|s| matches!(s.name, "query.lookup" | "query.eq_lookup" | "query.fetch"))
+            .fold((0, 0), |(rows, bytes), s| {
+                (rows + uint(s, "rows"), bytes + uint(s, "bytes"))
+            })
+    }
+
+    #[test]
+    fn simulated_fetches_match_the_analytic_plan_for_every_scheme() {
+        let len = 6;
+        let rt = setup_exspan(len);
+        let (out, ctx) = (&rt.outputs()[0], QueryCtx::from_runtime(&rt));
+        let (tel, qt) = traced();
+        simulate_query_exspan(&ctx, &rt.recorder().primary, &out.tuple, Some(&qt)).unwrap();
+        let model = crate::query::query_exspan(&ctx, &rt.recorder().primary, &out.tuple).unwrap();
+        assert_eq!(fetched(&tel), (model.fetches, model.bytes), "exspan");
+
+        let rt = line_run(len, crate::BasicRecorder::new(len));
+        let (out, ctx) = (&rt.outputs()[0], QueryCtx::from_runtime(&rt));
+        let (tel, qt) = traced();
+        simulate_query_basic(&ctx, rt.recorder(), &out.tuple, Some(&qt)).unwrap();
+        let model = crate::query::query_basic(&ctx, rt.recorder(), &out.tuple).unwrap();
+        assert_eq!(fetched(&tel), (model.fetches, model.bytes), "basic");
+
+        for inter_class in [false, true] {
+            let keys = equivalence_keys(&programs::packet_forwarding());
+            let rec = if inter_class {
+                AdvancedRecorder::with_inter_class(len, keys)
+            } else {
+                AdvancedRecorder::new(len, keys)
+            };
+            let rt = line_run(len, rec);
+            let (out, ctx) = (&rt.outputs()[0], QueryCtx::from_runtime(&rt));
+            let (tel, qt) = traced();
+            simulate_query_advanced(&ctx, rt.recorder(), &out.tuple, &out.evid, Some(&qt)).unwrap();
+            let model = query_advanced(&ctx, rt.recorder(), &out.tuple, &out.evid).unwrap();
+            assert_eq!(
+                fetched(&tel),
+                (model.fetches, model.bytes),
+                "advanced (inter-class: {inter_class})"
+            );
+        }
+    }
+
+    /// Simulate every output's query, traced, and check it against the
+    /// model. Returns how many outputs were reached only after rejecting
+    /// a sibling derivation.
+    fn check_every_output(rt: &Runtime<AdvancedRecorder>) -> usize {
+        let ctx = QueryCtx::from_runtime(rt);
+        let store = rt.recorder();
+        let mut retried = 0;
+        for out in rt.outputs() {
+            let walked = crate::plan::walk_advanced(&ctx, store, &out.tuple, &out.evid, false);
+            retried += (walked.unwrap().len() > 1) as usize;
+            let (tel, qt) = traced();
+            let sim =
+                simulate_query_advanced(&ctx, store, &out.tuple, &out.evid, Some(&qt)).unwrap();
+            let model = query_advanced(&ctx, store, &out.tuple, &out.evid).unwrap();
+            assert_eq!(sim.tree, model.tree, "output {}", out.tuple);
+            assert_eq!(fetched(&tel), (model.fetches, model.bytes));
+            let spans = tel.spans();
+            let tree = dpc_telemetry::spans_by_trace(&spans)
+                .into_values()
+                .next()
+                .unwrap();
+            dpc_telemetry::check_well_formed(&tree).unwrap();
+            let root = tree.iter().find(|s| s.parent.is_none()).unwrap();
+            assert_eq!(root.duration_ns(), sim.latency.as_nanos());
+            let bd = dpc_telemetry::critical_path(&tree).unwrap();
+            assert_eq!(bd.total(), root.duration_ns());
+        }
+        retried
+    }
+
+    #[test]
+    fn simulated_multi_derivation_queries_match_the_model() {
+        // One event derives the same output through two slow rows.
+        let src = "r1 out(@X, K) :- e(@X, K), s(@X, V).";
+        let delp = dpc_ndlog::Delp::new(dpc_ndlog::parse_program(src).unwrap()).unwrap();
+        let rec = AdvancedRecorder::new(1, equivalence_keys(&delp));
+        let mut rt = Runtime::new(delp, dpc_netsim::Network::with_nodes(1), rec);
+        let (x, int) = (dpc_common::Value::Addr(n(0)), dpc_common::Value::Int);
+        for v in [7, 8] {
+            rt.install(Tuple::new("s", vec![x.clone(), int(v)]))
+                .unwrap();
+        }
+        rt.inject(Tuple::new("e", vec![x, int(1)])).unwrap();
+        rt.run().unwrap();
+        assert_eq!(rt.outputs().len(), 2);
+        check_every_output(&rt);
+
+        // A DHCP offer branches one execution into one output per pool
+        // address, so a query can reach its output only after rejecting
+        // sibling derivations. The second discover is a compressed
+        // execution.
+        let keys = equivalence_keys(&programs::dhcp());
+        let rec = AdvancedRecorder::new(3, keys);
+        let mut rt = dpc_apps::dhcp::make_runtime(topo::star(3, Link::STUB_STUB), rec);
+        let pool = ["10.0.0.1", "10.0.0.2", "10.0.0.3"];
+        dpc_apps::dhcp::deploy(&mut rt, n(0), &[n(1)], &pool).unwrap();
+        for rqid in [1, 2] {
+            rt.inject(dpc_apps::dhcp::discover(n(1), rqid)).unwrap();
+            rt.run().unwrap();
+        }
+        assert!(
+            check_every_output(&rt) > 0,
+            "no sibling derivation rejected"
+        );
     }
 }

@@ -25,10 +25,13 @@
 //! execution — the oracle against which the correctness theorems
 //! (Theorem 3, Theorem 5) are tested.
 //!
-//! The [`query`] module implements the distributed recursive querying of
-//! Section 5.6 over the simulated network, including the latency cost
-//! model used for Figure 12, and [`reconstruct`] rebuilds full provenance
-//! trees (`TRANSFORM_TO_D`, Appendix E) by re-executing rules bottom-up.
+//! The distributed recursive query of Section 5.6 reads each scheme's
+//! tables in one walk, which yields a fetch plan: the stops the query
+//! makes and the rows and tuples it fetches at each. Two executors consume
+//! that plan: [`query`] prices it with the latency cost model used for
+//! Figure 12, and [`distquery`] runs it as messages on the simulated
+//! network. [`reconstruct`] rebuilds full provenance trees
+//! (`TRANSFORM_TO_D`, Appendix E) by re-executing rules bottom-up.
 
 pub mod advanced;
 pub mod basic;
@@ -36,6 +39,7 @@ pub mod crossprog;
 pub mod distquery;
 pub mod dump;
 pub mod exspan;
+mod plan;
 pub mod query;
 pub mod reconstruct;
 pub mod reference;

@@ -21,12 +21,17 @@
 //! tuples vs. a single traversal touching small rows — is what produces
 //! the ~3x latency gap of Figure 12.
 //!
-//! The cost model: each remote lookup round costs a querier round trip
-//! (ExSPAN) or a hop move (Basic/Advanced) at shortest-path latency, plus
-//! per-row processing; fetched bytes ship to the querier at the bottleneck
+//! Each scheme's tables are read by one walk, which yields a fetch plan:
+//! the ordered stops and the size of every row or tuple fetched at each.
+//! This module prices that plan; [`crate::distquery`] runs the same plan
+//! as simulated messages.
+//!
+//! The cost model: each stop costs a querier round trip (ExSPAN) or a hop
+//! move (Basic/Advanced) at shortest-path latency, plus per-row
+//! processing; fetched bytes ship to the querier at the bottleneck
 //! bandwidth; reconstruction costs compute time per re-executed rule.
 
-use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
+use dpc_common::{EvId, NodeId, Result, Tuple, Vid};
 use dpc_engine::{FnRegistry, ProvRecorder, Runtime};
 use dpc_ndlog::Delp;
 use dpc_netsim::{Network, SimTime};
@@ -34,9 +39,8 @@ use dpc_netsim::{Network, SimTime};
 use crate::advanced::AdvancedRecorder;
 use crate::basic::BasicRecorder;
 use crate::exspan::ExspanRecorder;
-use crate::reconstruct::{reconstruct, ChainLevel};
+use crate::plan::{walk_advanced, walk_basic, walk_exspan, Derivation, Route};
 use crate::storage::ProvRowAdv;
-use crate::storage::RuleExecView;
 use crate::tree::ProvTree;
 
 /// Resolves tuple contents at query time: the leaf tuples referenced by
@@ -115,97 +119,54 @@ pub struct QueryResult {
     pub bytes: usize,
 }
 
-/// Walk-state shared by the three query algorithms.
-struct Walker<'a> {
-    ctx: &'a QueryCtx<'a>,
-    querier: NodeId,
-    cur: NodeId,
-    latency: SimTime,
-    transfer: SimTime,
-    bytes: usize,
-    fetches: usize,
-}
-
-impl<'a> Walker<'a> {
-    fn new(ctx: &'a QueryCtx<'a>, querier: NodeId) -> Walker<'a> {
-        Walker {
-            ctx,
-            querier,
-            cur: querier,
-            latency: SimTime::ZERO,
-            transfer: SimTime::ZERO,
-            bytes: 0,
-            fetches: 0,
-        }
-    }
-
-    /// Move the query cursor to `node`.
-    fn move_to(&mut self, node: NodeId) -> Result<()> {
-        if node != self.cur {
-            self.latency += self.ctx.net.path_latency(self.cur, node)?;
-            self.cur = node;
-        }
-        Ok(())
-    }
-
-    /// One querier-driven lookup round at `node`: a round trip from the
-    /// querier plus per-item processing and response shipping. Items known
-    /// upfront batch into a single round; dependent lookups need their own
-    /// round. This is ExSPAN's query pattern.
-    fn round(&mut self, node: NodeId, item_bytes: &[usize]) -> Result<()> {
-        let one_way = self.ctx.net.path_latency(self.querier, node)?;
-        self.latency += one_way + one_way;
-        for &bytes in item_bytes {
-            self.latency += self.ctx.cost.per_row_proc;
-            self.bytes += bytes;
-            self.fetches += 1;
-            if node != self.querier {
-                let bps = self.ctx.net.path_bottleneck_bps(self.querier, node)?;
-                let ns = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
-                self.latency += SimTime::from_nanos(ns);
+/// The Figure 12 cost model: price the walked plans in order, item by
+/// item, and return the last derivation's tree. Earlier derivations were
+/// rejected siblings; their fetches stay on the bill.
+fn price(ctx: &QueryCtx<'_>, mut walked: Vec<Derivation>) -> Result<QueryResult> {
+    let querier = walked[0].plan.querier;
+    let (mut latency, mut transfer) = (SimTime::ZERO, SimTime::ZERO);
+    let (mut fetches, mut bytes) = (0, 0);
+    let mut cur = querier;
+    for Derivation { plan, .. } in &walked {
+        // A retried derivation restarts at the querier; the model does
+        // not charge the rejected walk's way back.
+        cur = querier;
+        for stop in &plan.stops {
+            match plan.route {
+                Route::RoundTrips => {
+                    let one_way = ctx.net.path_latency(querier, stop.node)?;
+                    latency += one_way + one_way;
+                }
+                Route::Chain => {
+                    latency += ctx.net.path_latency(cur, stop.node)?;
+                    cur = stop.node;
+                }
+            }
+            let bps = if stop.node == querier {
+                None
+            } else {
+                Some(ctx.net.path_bottleneck_bps(querier, stop.node)?)
+            };
+            for &item in &stop.items {
+                latency += ctx.cost.per_row_proc;
+                bytes += item;
+                fetches += 1;
+                if let Some(bps) = bps {
+                    let ns = (item as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+                    transfer += SimTime::from_nanos(ns);
+                }
             }
         }
-        Ok(())
+        latency += SimTime::from_nanos(ctx.cost.reexec_per_rule.as_nanos() * plan.reexecs as u64);
     }
-
-    /// Account one row/content fetch of `bytes` at the cursor.
-    fn fetch(&mut self, bytes: usize) -> Result<()> {
-        self.latency += self.ctx.cost.per_row_proc;
-        self.bytes += bytes;
-        self.fetches += 1;
-        if self.cur != self.querier {
-            let bps = self.ctx.net.path_bottleneck_bps(self.querier, self.cur)?;
-            let ns = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
-            self.transfer += SimTime::from_nanos(ns);
-        }
-        Ok(())
-    }
-
-    /// Return to the querier and account the response shipping.
-    fn finish(&mut self) -> Result<()> {
-        self.latency += self.ctx.net.path_latency(self.cur, self.querier)?;
-        self.cur = self.querier;
-        self.latency += self.transfer;
-        Ok(())
-    }
-
-    fn into_result(self, tree: ProvTree) -> QueryResult {
-        QueryResult {
-            tree,
-            latency: self.latency,
-            fetches: self.fetches,
-            bytes: self.bytes,
-        }
-    }
-}
-
-fn view_size(v: &RuleExecView) -> usize {
-    4 + 20 + (4 + v.rule.len()) + 4 + v.vids.len() * 20 + v.next.storage_size()
-}
-
-enum Walked {
-    Derived(ProvTree),
-    Base(Tuple),
+    latency += ctx.net.path_latency(cur, querier)? + transfer;
+    let tree = walked.pop().expect("a walk yields a derivation").tree;
+    Ok(QueryResult {
+        tree,
+        latency,
+        fetches,
+        bytes,
+    })
 }
 
 /// Query an ExSPAN-maintained provenance tree for `output`.
@@ -214,201 +175,12 @@ pub fn query_exspan(
     rec: &ExspanRecorder,
     output: &Tuple,
 ) -> Result<QueryResult> {
-    let querier = output.loc()?;
-    let mut w = Walker::new(ctx, querier);
-    let walked = walk_exspan(ctx, rec, &mut w, output.vid(), querier)?;
-    match walked {
-        Walked::Derived(tree) => Ok(w.into_result(tree)),
-        Walked::Base(t) => Err(Error::ProvenanceLookup(format!(
-            "{t} is a base tuple, not a derived output"
-        ))),
-    }
-}
-
-fn walk_exspan(
-    ctx: &QueryCtx<'_>,
-    rec: &ExspanRecorder,
-    w: &mut Walker<'_>,
-    vid: Vid,
-    loc: NodeId,
-) -> Result<Walked> {
-    // Round at `loc`: the tuple's prov row plus its content — ExSPAN
-    // materializes every tuple and the querier retrieves it to present
-    // the tree. (For the output tuple this round is local to the querier.)
-    let prov = rec
-        .prov_row(loc, &vid)
-        .ok_or_else(|| Error::ProvenanceLookup(format!("no prov row for {vid} at {loc}")))?
-        .clone();
-    let tuple = ctx
-        .resolver
-        .tuple_by_vid(loc, &vid)
-        .ok_or_else(|| {
-            Error::ProvenanceLookup(format!("tuple content for {vid} missing at {loc}"))
-        })?
-        .clone();
-    w.round(loc, &[prov.storage_size(), tuple.storage_size()])?;
-    match descend_exspan(ctx, rec, w, tuple, &prov)? {
-        Some(tree) => Ok(Walked::Derived(tree)),
-        None => {
-            let t = ctx
-                .resolver
-                .tuple_by_vid(loc, &vid)
-                .expect("fetched above")
-                .clone();
-            Ok(Walked::Base(t))
-        }
-    }
-}
-
-/// Expand one derived tuple level by level. Per level, a single batched
-/// round at the deriving node fetches the `ruleExec` row together with
-/// every child's prov row and content (all local to that node); only the
-/// event child's own derivation requires descending further. Returns
-/// `None` when `prov` marks a base tuple.
-fn descend_exspan(
-    ctx: &QueryCtx<'_>,
-    rec: &ExspanRecorder,
-    w: &mut Walker<'_>,
-    tuple: Tuple,
-    prov: &crate::storage::ProvRow,
-) -> Result<Option<ProvTree>> {
-    let (Some(rid), Some(rloc)) = (prov.rid, prov.rloc) else {
-        return Ok(None);
-    };
-    let re = rec
-        .rule_exec(rloc, &rid)
-        .ok_or_else(|| Error::ProvenanceLookup(format!("no ruleExec row {rid} at {rloc}")))?
-        .clone();
-    if re.vids.is_empty() {
-        return Err(Error::ProvenanceLookup(format!(
-            "ruleExec {rid} has no children"
-        )));
-    }
-
-    // Batched round at rloc: ruleExec row + every child's prov row and
-    // content (the children of a rule execution all live at rloc).
-    let mut items = vec![re.size_bytes(false)];
-    let mut child_provs = Vec::with_capacity(re.vids.len());
-    let mut child_tuples = Vec::with_capacity(re.vids.len());
-    for v in &re.vids {
-        let p = rec
-            .prov_row(rloc, v)
-            .ok_or_else(|| Error::ProvenanceLookup(format!("no prov row for child {v} at {rloc}")))?
-            .clone();
-        let t = ctx.resolver.tuple_by_vid(rloc, v).ok_or_else(|| {
-            Error::ProvenanceLookup(format!("child tuple content {v} missing at {rloc}"))
-        })?;
-        items.push(p.storage_size());
-        items.push(t.storage_size());
-        child_provs.push(p);
-        child_tuples.push(t.clone());
-    }
-    w.round(rloc, &items)?;
-
-    // Children after the first are the slow-changing leaves.
-    for (v, p) in re.vids[1..].iter().zip(&child_provs[1..]) {
-        if p.rid.is_some() {
-            return Err(Error::ProvenanceLookup(format!(
-                "slow child {v} of {rid} is unexpectedly derived"
-            )));
-        }
-    }
-    let slow: Vec<Tuple> = child_tuples[1..].to_vec();
-
-    // The event child may itself be derived: descend.
-    let event_tuple = child_tuples[0].clone();
-    let tree = match descend_exspan(ctx, rec, w, event_tuple.clone(), &child_provs[0])? {
-        Some(child) => ProvTree::Node {
-            rule: re.rule.clone(),
-            output: tuple,
-            child: Box::new(child),
-            slow,
-        },
-        None => ProvTree::Leaf {
-            rule: re.rule.clone(),
-            output: tuple,
-            event: event_tuple,
-            slow,
-        },
-    };
-    Ok(Some(tree))
+    price(ctx, vec![walk_exspan(ctx, rec, output)?])
 }
 
 /// Query a Basic-maintained provenance tree for `output`.
 pub fn query_basic(ctx: &QueryCtx<'_>, rec: &BasicRecorder, output: &Tuple) -> Result<QueryResult> {
-    let querier = output.loc()?;
-    let mut w = Walker::new(ctx, querier);
-    let prov = rec
-        .prov_row(querier, &output.vid())
-        .ok_or_else(|| Error::ProvenanceLookup(format!("no prov row for {output} at {querier}")))?
-        .clone();
-    w.fetch(prov.storage_size())?;
-    let (mut loc, mut rid) = (
-        prov.rloc.expect("basic prov rows always reference a rule"),
-        prov.rid.expect("basic prov rows always reference a rule"),
-    );
-
-    // Step 1: fetch the optimized chain.
-    let mut chain = Vec::new();
-    let event;
-    loop {
-        w.move_to(loc)?;
-        let row = rec
-            .rule_exec(loc, &rid)
-            .ok_or_else(|| Error::ProvenanceLookup(format!("no ruleExec row {rid} at {loc}")))?
-            .clone();
-        w.fetch(row.size_bytes(true))?;
-        // On the chain tail the first vid is the input event.
-        let (event_vid, slow_vids) = if row.next.is_none() {
-            let Some((first, rest)) = row.vids.split_first() else {
-                return Err(Error::ProvenanceLookup(format!(
-                    "chain tail {rid} lacks its event vid"
-                )));
-            };
-            (Some(*first), rest)
-        } else {
-            (None, &row.vids[..])
-        };
-        let mut slow = Vec::with_capacity(slow_vids.len());
-        for v in slow_vids {
-            let t = ctx.resolver.tuple_by_vid(loc, v).ok_or_else(|| {
-                Error::ProvenanceLookup(format!("slow tuple {v} missing at {loc}"))
-            })?;
-            w.fetch(t.storage_size())?;
-            slow.push(t.clone());
-        }
-        chain.push(ChainLevel {
-            rule: row.rule.clone(),
-            slow,
-        });
-        match row.next {
-            Some((nloc, nrid)) => {
-                loc = nloc;
-                rid = nrid;
-            }
-            None => {
-                let ev_vid = event_vid.expect("set on the tail branch");
-                let ev = ctx.resolver.tuple_by_vid(loc, &ev_vid).ok_or_else(|| {
-                    Error::ProvenanceLookup(format!("event tuple {ev_vid} missing at {loc}"))
-                })?;
-                w.fetch(ev.storage_size())?;
-                event = ev.clone();
-                break;
-            }
-        }
-    }
-    w.finish()?;
-
-    // Step 2: recompute the intermediate provenance nodes locally.
-    w.latency += SimTime::from_nanos(ctx.cost.reexec_per_rule.as_nanos() * chain.len() as u64);
-    let tree = reconstruct(ctx.delp, ctx.fns, &chain, &event)?;
-    if tree.output() != output {
-        return Err(Error::ProvenanceLookup(format!(
-            "reconstruction produced {} instead of {output}",
-            tree.output()
-        )));
-    }
-    Ok(w.into_result(tree))
+    price(ctx, vec![walk_basic(ctx, rec, output)?])
 }
 
 /// Storage interface the Advanced query walks: implemented by
@@ -450,47 +222,7 @@ pub fn query_advanced<S: AdvancedStore>(
     output: &Tuple,
     evid: &EvId,
 ) -> Result<QueryResult> {
-    let querier = output.loc()?;
-    let mut w = Walker::new(ctx, querier);
-    let provs: Vec<_> = rec.lookup_prov(querier, &output.vid(), evid);
-    if provs.is_empty() {
-        return Err(Error::ProvenanceLookup(format!(
-            "no prov row for {output} / {evid} at {querier}"
-        )));
-    }
-    let mut tree = None;
-    for prov in &provs {
-        w.fetch(prov.storage_size())?;
-        let (chain, tail_loc) = walk_chain_advanced(ctx, rec, &mut w, prov.rloc, prov.rid)?;
-        // The event peculiar to this execution, materialized at the input
-        // node (the chain tail).
-        let event = ctx
-            .resolver
-            .event_by_evid(tail_loc, evid)
-            .ok_or_else(|| {
-                Error::ProvenanceLookup(format!("event {evid} not materialized at {tail_loc}"))
-            })?
-            .clone();
-        w.fetch(event.storage_size())?;
-        // TRANSFORM_TO_D: rebuild the full tree for *this* event.
-        w.latency += SimTime::from_nanos(ctx.cost.reexec_per_rule.as_nanos() * chain.len() as u64);
-        let candidate = reconstruct(ctx.delp, ctx.fns, &chain, &event)?;
-        if candidate.output() == output {
-            tree = Some(candidate);
-            break;
-        }
-        // A sibling derivation of the same execution (e.g. a rule that
-        // joined several slow rows); keep trying.
-        w.cur = querier;
-    }
-    w.finish()?;
-    match tree {
-        Some(tree) => Ok(w.into_result(tree)),
-        None => Err(Error::ProvenanceLookup(format!(
-            "none of the {} stored derivations reproduces {output}",
-            provs.len()
-        ))),
-    }
+    price(ctx, walk_advanced(ctx, rec, output, evid, false)?)
 }
 
 /// The full `QUERY` of Appendix E (Figure 18): return *every* derivation
@@ -503,80 +235,13 @@ pub fn query_advanced_all<S: AdvancedStore>(
     output: &Tuple,
     evid: &EvId,
 ) -> Result<Vec<QueryResult>> {
-    let querier = output.loc()?;
-    let provs: Vec<_> = rec.lookup_prov(querier, &output.vid(), evid);
-    if provs.is_empty() {
-        return Err(Error::ProvenanceLookup(format!(
-            "no prov row for {output} / {evid} at {querier}"
-        )));
-    }
-    let mut results = Vec::new();
-    for prov in &provs {
-        let mut w = Walker::new(ctx, querier);
-        w.fetch(prov.storage_size())?;
-        let (chain, tail_loc) = walk_chain_advanced(ctx, rec, &mut w, prov.rloc, prov.rid)?;
-        let event = ctx
-            .resolver
-            .event_by_evid(tail_loc, evid)
-            .ok_or_else(|| {
-                Error::ProvenanceLookup(format!("event {evid} not materialized at {tail_loc}"))
-            })?
-            .clone();
-        w.fetch(event.storage_size())?;
-        w.finish()?;
-        w.latency += SimTime::from_nanos(ctx.cost.reexec_per_rule.as_nanos() * chain.len() as u64);
-        let tree = reconstruct(ctx.delp, ctx.fns, &chain, &event)?;
-        if tree.output() == output {
-            results.push(w.into_result(tree));
-        }
-        // Non-matching reconstructions belong to sibling outputs of the
-        // same compressed execution (e.g. other DHCP pool addresses).
-    }
-    if results.is_empty() {
-        return Err(Error::ProvenanceLookup(format!(
-            "none of the {} stored derivations reproduces {output}",
-            provs.len()
-        )));
-    }
-    Ok(results)
-}
-
-/// QR (Appendix E): recursive fetch along `(NLoc, NRID)`. Returns the
-/// chain root-first plus the tail node (where the input event entered).
-fn walk_chain_advanced<S: AdvancedStore>(
-    ctx: &QueryCtx<'_>,
-    rec: &S,
-    w: &mut Walker<'_>,
-    mut loc: NodeId,
-    mut rid: dpc_common::Rid,
-) -> Result<(Vec<ChainLevel>, NodeId)> {
-    let mut chain = Vec::new();
-    loop {
-        w.move_to(loc)?;
-        let view = rec
-            .lookup_rule_exec(loc, &rid)
-            .ok_or_else(|| Error::ProvenanceLookup(format!("no ruleExec node {rid} at {loc}")))?;
-        w.fetch(view_size(&view))?;
-        let mut slow = Vec::with_capacity(view.vids.len());
-        for v in &view.vids {
-            let t = ctx.resolver.tuple_by_vid(loc, v).ok_or_else(|| {
-                Error::ProvenanceLookup(format!("slow tuple {v} missing at {loc}"))
-            })?;
-            w.fetch(t.storage_size())?;
-            slow.push(t.clone());
-        }
-        chain.push(ChainLevel {
-            rule: view.rule.clone(),
-            slow,
-        });
-        match view.next {
-            Some((nloc, nrid)) => {
-                loc = nloc;
-                rid = nrid;
-            }
-            None => return Ok((chain, loc)),
-        }
-    }
+    walk_advanced(ctx, rec, output, evid, true)?
+        .into_iter()
+        // The others belong to sibling outputs of the same compressed
+        // execution (e.g. other DHCP pool addresses).
+        .filter(|d| d.tree.output() == output)
+        .map(|d| price(ctx, vec![d]))
+        .collect()
 }
 
 #[cfg(test)]

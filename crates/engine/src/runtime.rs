@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
 use dpc_ndlog::{analyze, Delp, Mode as AnalysisMode};
 use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
-use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle, TraceKind};
+use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
 use crate::eval::{eval_rule, FnRegistry};
@@ -680,7 +680,6 @@ impl<R: ProvRecorder> Runtime<R> {
                 self.metrics[node.index()].sigs += 1;
                 if let Some(t) = &self.telemetry {
                     t.count("engine.sigs_received", Some(node.0), 1);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::Sig);
                     // The htequi clear is instantaneous in the model; the
                     // span still marks where equivalence state reset.
                     let s = t.span_child("engine.sig", Some(node.0), ctx, at.as_nanos());
@@ -710,7 +709,6 @@ impl<R: ProvRecorder> Runtime<R> {
             self.outputs_count += 1;
             if let Some(t) = &self.telemetry {
                 t.count("engine.outputs", Some(node.0), 1);
-                t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage3);
                 // Stage 3 closes the execution's root span.
                 let s = t.span_child("engine.event", Some(node.0), ctx, at.as_nanos());
                 t.span_attr(s, "output", AttrValue::Str(tuple.rel().to_string()));
@@ -748,17 +746,10 @@ impl<R: ProvRecorder> Runtime<R> {
         if meta.stage == Stage::Input {
             self.recorder.on_input(node, &tuple, &mut meta);
             if let Some(t) = &self.telemetry {
-                t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage1);
                 // Schemes that run the equivalence check set `eq_hash`;
                 // `exist_flag` then distinguishes a compressed re-execution
                 // (hit) from a fresh class (miss).
                 if meta.eq_hash.is_some() {
-                    let kind = if meta.exist_flag {
-                        TraceKind::EqHit
-                    } else {
-                        TraceKind::EqMiss
-                    };
-                    t.trace(at.as_nanos(), Some(node.0), kind);
                     let eq = t.span_child("engine.eq", Some(node.0), ev, at.as_nanos());
                     t.span_attr(eq, "hit", AttrValue::UInt(meta.exist_flag as u64));
                     t.span_end(eq, at.as_nanos());
@@ -815,8 +806,6 @@ impl<R: ProvRecorder> Runtime<R> {
                 self.metrics[node.index()].rules_fired += 1;
                 if let Some(t) = &self.telemetry {
                     t.count("engine.rules_fired", Some(node.0), 1);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::RuleFired);
-                    t.trace(at.as_nanos(), Some(node.0), TraceKind::Stage2);
                 }
                 // The "engine.rule" span runs from the firing to the
                 // derived tuple's arrival at its destination, so per-rule

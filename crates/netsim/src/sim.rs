@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use dpc_common::{Error, NodeId, Result};
-use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle, TraceKind};
+use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
 
 use crate::network::Network;
 use crate::stats::TrafficStats;
@@ -120,7 +120,6 @@ impl<M> Sim<M> {
             t.count("net.msgs_sent", Some(src.0), 1);
             t.count("net.bytes_sent", Some(src.0), bytes as u64);
             t.observe("net.queue_delay_ns", None, queued.as_nanos());
-            t.trace(self.now.as_nanos(), Some(src.0), TraceKind::MsgSend);
         }
     }
 
@@ -181,7 +180,6 @@ impl<M> Sim<M> {
                 self.dropped += 1;
                 if let Some(t) = &self.telemetry {
                     t.count("net.msgs_dropped", Some(src.0), 1);
-                    t.trace(self.now.as_nanos(), Some(src.0), TraceKind::MsgDrop);
                 }
                 return true;
             }

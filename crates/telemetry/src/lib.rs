@@ -12,10 +12,6 @@
 //!   hits); gauges are last-write-wins values (DB rows); histograms
 //!   aggregate distributions (per-link queueing delay) into count / sum /
 //!   min / max plus power-of-two buckets.
-//! * **An event-trace ring buffer** of the most recent [`TraceEvent`]s
-//!   (rule firings, message sends and drops, recorder stage calls,
-//!   equivalence-key hits vs. misses, `sig` broadcasts), bounded so
-//!   tracing a million-packet run costs constant memory.
 //! * **Periodic snapshots on the simulated clock**: the engine calls
 //!   [`Telemetry::maybe_snapshot`] as simulated time advances; each due
 //!   tick freezes the registry into a [`Snapshot`] that serializes to one
@@ -68,63 +64,12 @@ pub use span::{
 pub use timeseries::{Sampler, Series, SeriesStore, DEFAULT_SERIES_CAPACITY};
 
 use std::collections::BTreeMap;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A cloneable shared reference to a [`Telemetry`] registry.
 pub type TelemetryHandle = Arc<Telemetry>;
-
-/// What kind of event a [`TraceEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A rule fired in the engine.
-    RuleFired,
-    /// A message entered a link.
-    MsgSend,
-    /// A message was dropped by loss injection.
-    MsgDrop,
-    /// Recorder stage 1 (`on_input`) ran.
-    Stage1,
-    /// Recorder stage 2 (`on_rule`) ran.
-    Stage2,
-    /// Recorder stage 3 (`on_output`) ran.
-    Stage3,
-    /// An equivalence-key check hit an existing class (`htequi` hit).
-    EqHit,
-    /// An equivalence-key check saw a fresh class (`htequi` miss).
-    EqMiss,
-    /// A `sig` broadcast after a slow-table update.
-    Sig,
-}
-
-impl TraceKind {
-    /// Stable lowercase name used in JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::RuleFired => "rule_fired",
-            TraceKind::MsgSend => "msg_send",
-            TraceKind::MsgDrop => "msg_drop",
-            TraceKind::Stage1 => "stage1",
-            TraceKind::Stage2 => "stage2",
-            TraceKind::Stage3 => "stage3",
-            TraceKind::EqHit => "eq_hit",
-            TraceKind::EqMiss => "eq_miss",
-            TraceKind::Sig => "sig",
-        }
-    }
-}
-
-/// One entry in the event-trace ring buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulated time, nanoseconds.
-    pub at_nanos: u64,
-    /// The node the event happened at, if node-local.
-    pub node: Option<u32>,
-    /// What happened.
-    pub kind: TraceKind,
-}
 
 /// Aggregated distribution: count/sum/min/max plus power-of-two buckets
 /// (bucket `i` counts values `v` with `2^(i-1) <= v < 2^i`; bucket 0
@@ -182,8 +127,6 @@ struct Inner {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, i64>,
     hists: BTreeMap<Key, Histogram>,
-    trace: VecDeque<TraceEvent>,
-    trace_cap: usize,
     snapshot_every_nanos: Option<u64>,
     next_snapshot_nanos: u64,
     snapshots: Vec<Snapshot>,
@@ -287,7 +230,7 @@ fn render_key(name: &str, node: Option<u32>) -> String {
     }
 }
 
-/// The shared metrics registry + trace buffer + snapshotter.
+/// The shared metrics registry + span store + snapshotter.
 ///
 /// Construct one per run, wrap it in a [`TelemetryHandle`] with
 /// [`Telemetry::handle`] (or `Arc::new`), and hand clones to the
@@ -295,10 +238,6 @@ fn render_key(name: &str, node: Option<u32>) -> String {
 #[derive(Debug)]
 pub struct Telemetry {
     inner: Mutex<Inner>,
-    /// Lock-free fast path for [`Telemetry::trace`]: mirrors
-    /// `trace_cap > 0` so a disabled registry never takes the mutex on
-    /// the per-event hot path.
-    events_enabled: AtomicBool,
     /// Lock-free fast path for [`Telemetry::span_root`]: mirrors
     /// `span_sample_every > 0`. Unsampled contexts make every child-span
     /// call a no-op without consulting the registry at all.
@@ -311,25 +250,20 @@ impl Default for Telemetry {
     }
 }
 
-/// Default capacity of the event-trace ring buffer.
-pub const DEFAULT_TRACE_CAP: usize = 4096;
-
 /// Default hard cap on stored spans (see `Inner::span_cap`).
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
 impl Telemetry {
-    /// A registry with the default trace capacity, span tracing disabled,
+    /// A registry with span tracing disabled
     /// and no periodic snapshotting (snapshots only on explicit
     /// [`Telemetry::snapshot`]).
     pub fn new() -> Telemetry {
         Telemetry {
             inner: Mutex::new(Inner {
-                trace_cap: DEFAULT_TRACE_CAP,
                 next_span_id: 1,
                 span_cap: DEFAULT_SPAN_CAP,
                 ..Inner::default()
             }),
-            events_enabled: AtomicBool::new(true),
             spans_enabled: AtomicBool::new(false),
         }
     }
@@ -345,18 +279,6 @@ impl Telemetry {
         let mut g = self.lock();
         g.snapshot_every_nanos = Some(every_nanos.max(1));
         g.next_snapshot_nanos = every_nanos.max(1);
-    }
-
-    /// Resize the trace ring buffer (drops oldest entries if shrinking).
-    /// Capacity 0 disables event tracing entirely: subsequent
-    /// [`Telemetry::trace`] calls return on a lock-free atomic check.
-    pub fn set_trace_capacity(&self, cap: usize) {
-        let mut g = self.lock();
-        g.trace_cap = cap;
-        while g.trace.len() > cap {
-            g.trace.pop_front();
-        }
-        self.events_enabled.store(cap > 0, Ordering::Release);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -383,27 +305,6 @@ impl Telemetry {
             .observe(value);
     }
 
-    /// Append a trace event (oldest entries fall off past capacity).
-    /// When tracing is disabled (`set_trace_capacity(0)`) this returns
-    /// without touching the lock.
-    pub fn trace(&self, at_nanos: u64, node: Option<u32>, kind: TraceKind) {
-        if !self.events_enabled.load(Ordering::Acquire) {
-            return;
-        }
-        let mut g = self.lock();
-        if g.trace_cap == 0 {
-            return;
-        }
-        if g.trace.len() == g.trace_cap {
-            g.trace.pop_front();
-        }
-        g.trace.push_back(TraceEvent {
-            at_nanos,
-            node,
-            kind,
-        });
-    }
-
     /// The current value of counter `name` summed over all node scopes.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.lock()
@@ -422,11 +323,6 @@ impl Telemetry {
             .filter_map(|((n, node), v)| (*n == name).then_some((*node, *v)))
             .filter_map(|(node, v)| node.map(|nd| (nd, v)))
             .collect()
-    }
-
-    /// A copy of the trace ring buffer, oldest first.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.lock().trace.iter().copied().collect()
     }
 
     /// Take a snapshot now (at simulated time `at_nanos`), regardless of
@@ -840,19 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_is_bounded() {
-        let t = Telemetry::new();
-        t.set_trace_capacity(3);
-        for i in 0..10 {
-            t.trace(i, Some(0), TraceKind::MsgSend);
-        }
-        let events = t.trace_events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].at_nanos, 7);
-        assert_eq!(events[2].at_nanos, 9);
-    }
-
-    #[test]
     fn periodic_snapshots_fire_on_schedule() {
         let t = Telemetry::new();
         t.set_snapshot_every_nanos(1000);
@@ -976,22 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_event_tracing_records_nothing() {
-        let t = Telemetry::new();
-        t.set_trace_capacity(0);
-        // The atomic fast path: no event is stored (and no lock taken —
-        // behaviorally, the ring stays empty however many calls arrive).
-        for i in 0..100 {
-            t.trace(i, Some(0), TraceKind::MsgSend);
-        }
-        assert!(t.trace_events().is_empty());
-        // Re-enabling restores recording.
-        t.set_trace_capacity(2);
-        t.trace(7, None, TraceKind::Sig);
-        assert_eq!(t.trace_events().len(), 1);
-    }
-
-    #[test]
     fn spans_disabled_by_default() {
         let t = Telemetry::new();
         let ctx = t.span_root("exec", Some(0), 10);
@@ -1056,12 +923,5 @@ mod tests {
         let root = t.span_root("exec", None, 50);
         t.span_end(root, 10); // clock confusion: clamp, don't invert
         assert_eq!(t.spans()[0].end_ns, Some(50));
-    }
-
-    #[test]
-    fn trace_kind_names_are_stable() {
-        assert_eq!(TraceKind::RuleFired.name(), "rule_fired");
-        assert_eq!(TraceKind::EqMiss.name(), "eq_miss");
-        assert_eq!(TraceKind::Sig.name(), "sig");
     }
 }
