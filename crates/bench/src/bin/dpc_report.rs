@@ -63,7 +63,7 @@ fn gate_config(seed: u64) -> (FwdConfig, String) {
         pairs: 5,
         rate_per_pair: 5.0,
         duration: SimTime::from_secs(2),
-        snapshot_every: SimTime::from_secs(1),
+        sample_every: SimTime::from_secs(1),
         ..FwdConfig::default()
     };
     (cfg, "pairs=5,rate=5,dur=2s".to_string())
@@ -181,41 +181,27 @@ fn timelines(args: &[String]) {
     }
     print_series("bandwidth over time", "second", "MB/s", &bxs, &bw_cols);
 
-    // Compression ratio over time: ExSPAN storage over each scheme's, at
-    // the per-second snapshot granularity (the figure the paper's
+    // Compression ratio over time: ExSPAN storage over each scheme's,
+    // row by row from the storage table above (the figure the paper's
     // storage plots imply).
-    let per_scheme: Vec<(&str, std::collections::BTreeMap<u64, usize>)> = runs
-        .iter()
-        .map(|r| (r.scheme.name(), r.m.snapshots.iter().copied().collect()))
-        .collect();
-    if let Some((_, exspan)) = per_scheme.iter().find(|(n, _)| *n == "ExSPAN") {
-        let mut rxs = Vec::new();
-        let mut ratio_cols: Vec<(&str, Vec<f64>)> = per_scheme
+    if let Some((_, exspan)) = storage_cols.iter().find(|(n, _)| *n == "ExSPAN") {
+        let ratio_cols: Vec<(&str, Vec<f64>)> = storage_cols
             .iter()
             .filter(|(n, _)| *n != "ExSPAN")
-            .map(|(n, _)| (*n, Vec::new()))
-            .collect();
-        for (&sec, &ex_bytes) in exspan {
-            rxs.push(sec as f64);
-            for (name, col) in &mut ratio_cols {
-                let own = per_scheme
+            .map(|(n, own)| {
+                let ratios = exspan
                     .iter()
-                    .find(|(n, _)| n == name)
-                    .and_then(|(_, snaps)| snaps.get(&sec))
-                    .copied()
-                    .unwrap_or(0);
-                col.push(if own > 0 {
-                    ex_bytes as f64 / own as f64
-                } else {
-                    f64::NAN
-                });
-            }
-        }
+                    .zip(own)
+                    .map(|(ex, own)| if *own > 0.0 { ex / own } else { f64::NAN })
+                    .collect();
+                (*n, ratios)
+            })
+            .collect();
         print_series(
             "compression ratio (ExSPAN storage / scheme storage)",
             "second",
             "x",
-            &rxs,
+            &xs,
             &ratio_cols,
         );
     }

@@ -5,10 +5,7 @@
 //! magnitude less for Advanced (10.3 MB/s). Expect the same linear shapes
 //! and a comparable ratio at the scaled workload.
 
-use dpc_bench::{
-    emit_run_json, emit_timeseries_json, print_series, run_forwarding_schemes, Cli, FwdConfig,
-    Scheme,
-};
+use dpc_bench::{emit_run_json, print_series, run_forwarding_schemes, Cli, FwdConfig, Scheme};
 
 fn main() {
     let cli = Cli::parse();
@@ -27,9 +24,6 @@ fn main() {
     if cli.json {
         for (scheme, out) in &runs {
             emit_run_json("fig09", scheme.name(), &out.m);
-            if cli.timeseries {
-                emit_timeseries_json(&out.m);
-            }
         }
         return;
     }

@@ -7,8 +7,8 @@
 //! updating a route every 10 s adds only ~0.6%.
 
 use dpc_bench::{
-    emit_run_json, emit_run_json_with, emit_timeseries_json, print_series, print_table,
-    run_forwarding, Cli, FwdConfig, Scheme,
+    emit_run_json, emit_run_json_with, print_series, print_table, run_forwarding, Cli, FwdConfig,
+    Scheme,
 };
 use dpc_netsim::SimTime;
 use dpc_telemetry::json::Json;
@@ -38,9 +38,6 @@ fn main() {
         let out = run_forwarding(scheme, &base);
         if cli.json {
             emit_run_json("fig11", scheme.name(), &out.m);
-            if cli.timeseries {
-                emit_timeseries_json(&out.m);
-            }
         }
         // Bandwidth-over-time from the sampler's cumulative
         // `net.bytes_total` series, differentiated between stamps.
@@ -73,9 +70,6 @@ fn main() {
             vec![("route_updates", Json::Bool(true))],
             &upd.m,
         );
-        if cli.timeseries {
-            emit_timeseries_json(&upd.m);
-        }
         return;
     }
     let adv_total = totals

@@ -6,9 +6,7 @@
 //! metadata (existFlag, evid, equivalence-key hash) is a visible fraction
 //! of every message.
 
-use dpc_bench::{
-    emit_run_json, emit_timeseries_json, print_series, print_table, run_dns, Cli, DnsConfig, Scheme,
-};
+use dpc_bench::{emit_run_json, print_series, print_table, run_dns, Cli, DnsConfig, Scheme};
 use dpc_netsim::SimTime;
 
 fn main() {
@@ -31,9 +29,6 @@ fn main() {
         let out = run_dns(scheme, &cfg);
         if cli.json {
             emit_run_json("fig15", scheme.name(), &out.m);
-            if cli.timeseries {
-                emit_timeseries_json(&out.m);
-            }
         }
         // Bandwidth-over-time from the sampler's cumulative
         // `net.bytes_total` series, differentiated between stamps.

@@ -5,9 +5,7 @@
 //! Basic / Advanced; at 100 s the totals reach 1.32 / 1.16 / 0.38 GB —
 //! Advanced roughly 3.5x below ExSPAN.
 
-use dpc_bench::{
-    emit_run_json, emit_timeseries_json, print_series, run_dns_schemes, Cli, DnsConfig, Scheme,
-};
+use dpc_bench::{emit_run_json, print_series, run_dns_schemes, Cli, DnsConfig, Scheme};
 
 fn main() {
     let cli = Cli::parse();
@@ -23,9 +21,6 @@ fn main() {
     if cli.json {
         for (scheme, out) in &runs {
             emit_run_json("fig16", scheme.name(), &out.m);
-            if cli.timeseries {
-                emit_timeseries_json(&out.m);
-            }
         }
         return;
     }

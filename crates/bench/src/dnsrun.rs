@@ -25,8 +25,8 @@ pub struct DnsConfig {
     pub rate: f64,
     /// Simulated duration of the injection phase.
     pub duration: SimTime,
-    /// Storage snapshot interval.
-    pub snapshot_every: SimTime,
+    /// Time-series sampling interval.
+    pub sample_every: SimTime,
     /// Zipf exponent for URL popularity (the paper follows Jung et al.'s
     /// observation of a Zipfian distribution; 1.0 is classic Zipf).
     pub zipf_exponent: f64,
@@ -47,7 +47,7 @@ impl Default for DnsConfig {
             urls: 38,
             rate: 200.0,
             duration: SimTime::from_secs(10),
-            snapshot_every: SimTime::from_secs(1),
+            sample_every: SimTime::from_secs(1),
             zipf_exponent: 1.0,
             total_requests: None,
             compiled_plans: true,
@@ -63,7 +63,7 @@ impl DnsConfig {
             seed,
             rate: 1000.0,
             duration: SimTime::from_secs(100),
-            snapshot_every: SimTime::from_secs(10),
+            sample_every: SimTime::from_secs(10),
             ..DnsConfig::default()
         }
     }
@@ -103,9 +103,8 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     let mut rt = dns::make_runtime(&tree, make(n));
     rt.set_compiled_plans(cfg.compiled_plans);
     let telemetry = Telemetry::handle();
-    telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
     telemetry.set_timeseries(
-        cfg.snapshot_every.as_nanos(),
+        cfg.sample_every.as_nanos(),
         dpc_telemetry::DEFAULT_SERIES_CAPACITY,
     );
     rt.attach_telemetry(telemetry);
@@ -129,8 +128,7 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     }
 
     // Drive to completion: storage-over-time comes from the sampler
-    // (enabled on the snapshot cadence above) instead of a hand-rolled
-    // stepping loop.
+    // enabled on the `sample_every` cadence above.
     let t0 = std::time::Instant::now();
     rt.run().expect("drain");
     let processing_secs = t0.elapsed().as_secs_f64();
@@ -143,15 +141,9 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
         .telemetry()
         .cloned()
         .expect("run_generic always attaches telemetry");
-    let snapshots = crate::snapshots_from_series(&crate::sum_timeseries(
-        &telemetry,
-        "recorder.storage_bytes#",
-    ));
     DnsRunOutput {
         m: RunMeasurements {
             per_node_storage,
-            snapshots,
-            traffic_per_second: rt.stats().per_second_series(),
             total_traffic: rt.stats().total_bytes(),
             per_link_bytes: rt.stats().per_link_totals(),
             outputs: rt.outputs().len(),

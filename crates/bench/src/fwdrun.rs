@@ -29,8 +29,9 @@ pub struct FwdConfig {
     pub duration: SimTime,
     /// Packet payload size (the paper uses 500 characters).
     pub payload_len: usize,
-    /// Storage snapshot interval (the paper samples every 10 s).
-    pub snapshot_every: SimTime,
+    /// Time-series sampling interval (the paper samples storage every
+    /// 10 s).
+    pub sample_every: SimTime,
     /// If set, insert a routing-table entry at this interval (the
     /// Section 5.5 update workload; triggers `sig` broadcasts).
     pub route_update_every: Option<SimTime>,
@@ -58,7 +59,7 @@ impl Default for FwdConfig {
             rate_per_pair: 10.0,
             duration: SimTime::from_secs(10),
             payload_len: 500,
-            snapshot_every: SimTime::from_secs(1),
+            sample_every: SimTime::from_secs(1),
             route_update_every: None,
             total_packets: None,
             trace_sample: 0,
@@ -77,7 +78,7 @@ impl FwdConfig {
             pairs: 100,
             rate_per_pair: 100.0,
             duration: SimTime::from_secs(100),
-            snapshot_every: SimTime::from_secs(10),
+            sample_every: SimTime::from_secs(10),
             ..FwdConfig::default()
         }
     }
@@ -136,9 +137,8 @@ pub(crate) fn prepare<R: ProvRecorder>(
     let mut rt = forwarding::make_runtime(ts.net, make(n));
     rt.set_compiled_plans(cfg.compiled_plans);
     let telemetry = Telemetry::handle();
-    telemetry.set_snapshot_every_nanos(cfg.snapshot_every.as_nanos());
     telemetry.set_timeseries(
-        cfg.snapshot_every.as_nanos(),
+        cfg.sample_every.as_nanos(),
         dpc_telemetry::DEFAULT_SERIES_CAPACITY,
     );
     if cfg.trace_sample > 0 {
@@ -208,9 +208,9 @@ pub(crate) fn prepare<R: ProvRecorder>(
 }
 
 /// Drive the run to completion. Storage-over-time comes from the
-/// time-series sampler (enabled on the snapshot cadence in [`prepare`]),
-/// which samples inside the event loop at deterministic virtual
-/// timestamps — no hand-rolled stepping loop.
+/// time-series sampler (enabled on the `sample_every` cadence in
+/// [`prepare`]), which samples inside the event loop at deterministic
+/// virtual timestamps.
 fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, RunMeasurements) {
     let n = rt.net().node_count();
     rt.run().expect("drain");
@@ -223,14 +223,8 @@ fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, R
         .telemetry()
         .cloned()
         .expect("prepare() always attaches telemetry");
-    let snapshots = crate::snapshots_from_series(&crate::sum_timeseries(
-        &telemetry,
-        "recorder.storage_bytes#",
-    ));
     let m = RunMeasurements {
         per_node_storage,
-        snapshots,
-        traffic_per_second: rt.stats().per_second_series(),
         total_traffic: rt.stats().total_bytes(),
         per_link_bytes: rt.stats().per_link_totals(),
         outputs: rt.outputs().len(),
@@ -368,7 +362,7 @@ mod tests {
             pairs: 5,
             rate_per_pair: 5.0,
             duration: SimTime::from_secs(2),
-            snapshot_every: SimTime::from_secs(1),
+            sample_every: SimTime::from_secs(1),
             ..FwdConfig::default()
         }
     }
@@ -401,10 +395,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_monotone() {
-        let out = run_forwarding(Scheme::Exspan, &tiny());
-        assert!(!out.m.snapshots.is_empty());
-        assert!(out.m.snapshots.windows(2).all(|w| w[0].1 <= w[1].1));
+    fn storage_series_is_monotone_and_ends_at_the_total() {
+        for scheme in [Scheme::Exspan, Scheme::Advanced] {
+            let m = run_forwarding(scheme, &tiny()).m;
+            let series = m.storage_series();
+            assert!(!series.is_empty(), "{}", scheme.name());
+            assert!(
+                series.windows(2).all(|w| w[0].1 <= w[1].1),
+                "{} storage shrank",
+                scheme.name()
+            );
+            // The last point is the forced drain sample, which lands after
+            // the final whole-second tick.
+            let &(t, last) = series.last().unwrap();
+            assert_eq!(last as usize, m.total_storage(), "{}", scheme.name());
+            assert!(
+                !t.is_multiple_of(SimTime::from_secs(1).as_nanos()),
+                "{} drain at {t}",
+                scheme.name()
+            );
+        }
     }
 
     #[test]

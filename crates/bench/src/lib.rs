@@ -59,8 +59,8 @@ pub fn run_dns_schemes(cfg: &DnsConfig, schemes: &[Scheme]) -> Vec<(Scheme, DnsR
     })
 }
 pub use report::{
-    emit_run_json, emit_run_json_with, emit_timeseries_json, print_cdf, print_series, print_table,
-    run_json, run_json_with,
+    emit_run_json, emit_run_json_with, print_cdf, print_series, print_table, run_json,
+    run_json_with,
 };
 
 // The scheme enum (and its boxed-recorder factory) lives in `dpc-core`;
@@ -72,10 +72,6 @@ pub use dpc_core::Scheme;
 pub struct RunMeasurements {
     /// Final provenance storage per node, bytes.
     pub per_node_storage: Vec<usize>,
-    /// `(second, total storage bytes)` snapshots.
-    pub snapshots: Vec<(u64, usize)>,
-    /// Bytes on the wire per simulated second.
-    pub traffic_per_second: Vec<u64>,
     /// Total bytes on the wire.
     pub total_traffic: u64,
     /// Total bytes per (undirected) link, sorted by endpoint pair.
@@ -86,7 +82,9 @@ pub struct RunMeasurements {
     pub rules_fired: u64,
     /// Wall-clock span of the simulated run.
     pub duration: SimTime,
-    /// The run's telemetry registry (counters, snapshots, traces).
+    /// The run's telemetry registry: final counters and histograms,
+    /// sampled time series (storage and bandwidth over time, see
+    /// [`RunMeasurements::storage_series`]) and causal spans.
     pub telemetry: TelemetryHandle,
 }
 
@@ -201,22 +199,6 @@ pub fn sum_timeseries(telemetry: &TelemetryHandle, prefix: &str) -> Vec<(u64, f6
     out
 }
 
-/// Collapse a `(t_ns, bytes)` storage series into the legacy
-/// `(second, bytes)` snapshot shape: one entry per distinct simulated
-/// second, keeping the last sample within each second.
-pub fn snapshots_from_series(series: &[(u64, f64)]) -> Vec<(u64, usize)> {
-    let mut out: Vec<(u64, usize)> = Vec::new();
-    for &(t_ns, v) in series {
-        let sec = t_ns / 1_000_000_000;
-        let bytes = v as usize;
-        match out.last_mut() {
-            Some(last) if last.0 == sec => last.1 = bytes,
-            _ => out.push((sec, bytes)),
-        }
-    }
-    out
-}
-
 impl RunMeasurements {
     /// Total final storage across nodes.
     pub fn total_storage(&self) -> usize {
@@ -248,9 +230,6 @@ pub struct Cli {
     /// Head-based sampling rate for execution traces: trace 1 in every
     /// `trace_sample` executions (1 = everything).
     pub trace_sample: u64,
-    /// Emit the sampled time series (JSON-lines `series` records after
-    /// the run record; implies `--json`-style machine output for them).
-    pub timeseries: bool,
 }
 
 impl Default for Cli {
@@ -261,7 +240,6 @@ impl Default for Cli {
             json: false,
             trace: false,
             trace_sample: 1,
-            timeseries: false,
         }
     }
 }
@@ -273,7 +251,7 @@ impl Cli {
             Ok(cli) => cli,
             Err(msg) => {
                 eprintln!(
-                    "{msg}\nusage: [--paper-scale] [--seed <n>] [--json] [--trace] [--trace-sample <n>] [--timeseries]"
+                    "{msg}\nusage: [--paper-scale] [--seed <n>] [--json] [--trace] [--trace-sample <n>]"
                 );
                 std::process::exit(2);
             }
@@ -294,7 +272,6 @@ impl Cli {
                 "--paper-scale" => cli.paper_scale = true,
                 "--json" => cli.json = true,
                 "--trace" => cli.trace = true,
-                "--timeseries" => cli.timeseries = true,
                 "--trace-sample" => {
                     cli.trace = true;
                     cli.trace_sample = args
@@ -342,8 +319,6 @@ mod tests {
         let cli = Cli::parse_from(["--trace-sample", "8"]).unwrap();
         assert!(cli.trace);
         assert_eq!(cli.trace_sample, 8);
-        assert!(!cli.timeseries);
-        assert!(Cli::parse_from(["--timeseries"]).unwrap().timeseries);
         assert!(Cli::parse_from(["--trace-sample", "0"]).is_err());
         assert!(Cli::parse_from(["--trace-sample"]).is_err());
         assert!(Cli::parse_from(["--seed"]).is_err());
@@ -423,21 +398,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_collapse_to_seconds_keeping_last() {
-        let series = vec![
-            (1_000_000_000, 10.0),
-            (2_000_000_000, 20.0),
-            (2_500_000_000, 30.0), // same second: keeps the later value
-        ];
-        assert_eq!(snapshots_from_series(&series), vec![(1, 10), (2, 30)]);
-    }
-
-    #[test]
     fn measurements_helpers() {
         let m = RunMeasurements {
             per_node_storage: vec![1_000_000, 2_000_000],
-            snapshots: vec![],
-            traffic_per_second: vec![],
             total_traffic: 0,
             per_link_bytes: vec![],
             outputs: 0,

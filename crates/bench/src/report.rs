@@ -56,15 +56,6 @@ pub fn run_json_with(
                     .collect(),
             ),
         ),
-        (
-            "storage_snapshots",
-            Json::Arr(
-                m.snapshots
-                    .iter()
-                    .map(|&(sec, bytes)| Json::Arr(vec![Json::UInt(sec), Json::UInt(bytes as u64)]))
-                    .collect(),
-            ),
-        ),
         ("total_traffic_bytes", Json::UInt(m.total_traffic)),
         ("outputs", Json::UInt(m.outputs as u64)),
         ("rules_fired", Json::UInt(m.rules_fired)),
@@ -86,8 +77,9 @@ pub fn run_json_with(
     Json::obj(fields)
 }
 
-/// Print the run record followed by the run's periodic telemetry
-/// snapshots, one JSON object per line.
+/// Print the run record followed by the run's sampled time series as
+/// `series` records (see [`dpc_telemetry::SeriesStore::to_json_lines`]),
+/// one JSON object per line.
 pub fn emit_run_json(figure: &str, scheme: &str, m: &RunMeasurements) {
     emit_run_json_with(figure, scheme, Vec::new(), m);
 }
@@ -100,20 +92,7 @@ pub fn emit_run_json_with(
     m: &RunMeasurements,
 ) {
     println!("{}", run_json_with(figure, scheme, params, m));
-    let snaps = m.telemetry.to_json_lines();
-    if !snaps.is_empty() {
-        print!("{snaps}");
-    }
-}
-
-/// Print the run's sampled time series as JSON-lines `series` records
-/// (one per series key; empty output when sampling was off). Figure
-/// binaries call this under `--timeseries`.
-pub fn emit_timeseries_json(m: &RunMeasurements) {
-    let series = m.telemetry.timeseries_json_lines();
-    if !series.is_empty() {
-        print!("{series}");
-    }
+    print!("{}", m.telemetry.timeseries_json_lines());
 }
 
 /// Print a CDF as `value fraction` rows under a header, at a fixed set of
@@ -184,8 +163,6 @@ mod tests {
         use dpc_netsim::SimTime;
         let m = RunMeasurements {
             per_node_storage: vec![10, 20],
-            snapshots: vec![(1, 5), (2, 30)],
-            traffic_per_second: vec![3, 4],
             total_traffic: 7,
             per_link_bytes: vec![((NodeId(0), NodeId(1)), 7)],
             outputs: 2,
@@ -196,7 +173,7 @@ mod tests {
         let line = run_json("fig08", "ExSPAN", &m).to_string();
         assert_eq!(
             line,
-            r#"{"record":"run","figure":"fig08","scheme":"ExSPAN","per_node_storage_bytes":[10,20],"per_link_bytes":[{"a":0,"b":1,"bytes":7}],"storage_snapshots":[[1,5],[2,30]],"total_traffic_bytes":7,"outputs":2,"rules_fired":4,"htequi_hits":0,"htequi_misses":0,"htequi_hit_rate":null,"index_hits":0,"index_misses":0,"index_hit_ratio":null,"plans_compiled":0,"duration_secs":2}"#
+            r#"{"record":"run","figure":"fig08","scheme":"ExSPAN","per_node_storage_bytes":[10,20],"per_link_bytes":[{"a":0,"b":1,"bytes":7}],"total_traffic_bytes":7,"outputs":2,"rules_fired":4,"htequi_hits":0,"htequi_misses":0,"htequi_hit_rate":null,"index_hits":0,"index_misses":0,"index_hit_ratio":null,"plans_compiled":0,"duration_secs":2}"#
         );
     }
 

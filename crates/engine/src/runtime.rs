@@ -211,7 +211,7 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
 
     /// Attach a telemetry sink: wired into the simulator (traffic
     /// counters, queueing delays), the runtime (rule/join/output counters,
-    /// trace events, periodic snapshots on the simulated clock) and the
+    /// causal spans, time-series samples on the simulated clock) and the
     /// recorder (table sizes, `htequi` hit rates).
     pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = Some(telemetry);
@@ -632,7 +632,6 @@ impl<R: ProvRecorder> Runtime<R> {
 
     fn handle(&mut self, at: SimTime, node: NodeId, msg: Msg, ctx: SpanContext) -> Result<()> {
         if let Some(t) = &self.telemetry {
-            t.maybe_snapshot(at.as_nanos());
             if let Some(stamp) = t.sample_tick(at.as_nanos()) {
                 self.record_timeseries(stamp);
             }

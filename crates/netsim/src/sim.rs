@@ -265,7 +265,7 @@ impl<M> Sim<M> {
         self.link_free.insert((src, dst), tx_done);
         *self.link_busy.entry((src, dst)).or_insert(0) += tx_done.as_nanos() - free.as_nanos();
         let at = tx_done + link.latency;
-        self.stats.record(self.now, src, dst, bytes);
+        self.stats.record(src, dst, bytes);
         self.record_hop(
             src,
             bytes,
@@ -328,7 +328,7 @@ impl<M> Sim<M> {
             self.link_free.insert((w[0], w[1]), tx_done);
             *self.link_busy.entry((w[0], w[1])).or_insert(0) +=
                 tx_done.as_nanos() - free.as_nanos();
-            self.stats.record(t, w[0], w[1], bytes);
+            self.stats.record(w[0], w[1], bytes);
             self.record_hop(
                 w[0],
                 bytes,

@@ -2,10 +2,10 @@
 //!
 //! The workspace builds offline with zero external dependencies, so the
 //! machine-readable benchmark output (`fig* --json`) serializes through
-//! this module instead of serde. Only what the telemetry snapshots need:
-//! objects, arrays, strings (with full escaping), integers, floats and
-//! booleans. Object keys keep insertion order — callers insert in sorted
-//! order when determinism matters (the snapshot code does). The parser
+//! this module instead of serde. Only what the run and series records
+//! need: objects, arrays, strings (with full escaping), integers, floats
+//! and booleans. Object keys keep insertion order — callers insert in
+//! sorted order when determinism matters (the series export does). The parser
 //! ([`Json::parse`]) exists so tools can read back their own artifacts
 //! (e.g. the `bench-history` regression gate re-reading
 //! `BENCH_history.json`); it accepts standard JSON, nothing more.

@@ -12,11 +12,12 @@
 //!   hits); gauges are last-write-wins values (DB rows); histograms
 //!   aggregate distributions (per-link queueing delay) into count / sum /
 //!   min / max plus power-of-two buckets.
-//! * **Periodic snapshots on the simulated clock**: the engine calls
-//!   [`Telemetry::maybe_snapshot`] as simulated time advances; each due
-//!   tick freezes the registry into a [`Snapshot`] that serializes to one
-//!   JSON line (hand-rolled serializer, no serde — the build is
-//!   dependency-free).
+//! * **Time series on the simulated clock** (the [`timeseries`] module):
+//!   the engine offers the [`Sampler`] each event's virtual time; each
+//!   due tick copies every gauge plus the derived hit ratios into
+//!   per-key series that export as JSON-lines `series` records or CSV
+//!   (hand-rolled serializer, no serde — the build is dependency-free).
+//!   [`Telemetry::snapshot`] reads the whole registry at one instant.
 //!
 //! The registry is shared as a [`TelemetryHandle`]
 //! (`Arc<Telemetry>` over an internal `std::sync::Mutex`), cheap to clone
@@ -127,9 +128,6 @@ struct Inner {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, i64>,
     hists: BTreeMap<Key, Histogram>,
-    snapshot_every_nanos: Option<u64>,
-    next_snapshot_nanos: u64,
-    snapshots: Vec<Snapshot>,
     /// All recorded spans, open ones with `end_ns == None`.
     spans: Vec<SpanRecord>,
     /// Span id -> index into `spans` (open and closed).
@@ -150,7 +148,8 @@ struct Inner {
     sampler: Option<Sampler>,
 }
 
-/// A frozen copy of the metrics registry at one simulated instant.
+/// A point-in-time copy of the metrics registry (see
+/// [`Telemetry::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Simulated time of the snapshot, nanoseconds.
@@ -159,68 +158,12 @@ pub struct Snapshot {
     pub counters: BTreeMap<(String, Option<u32>), u64>,
     /// Gauge values.
     pub gauges: BTreeMap<(String, Option<u32>), i64>,
-    /// Derived ratio gauges computed from the counters at freeze time
+    /// Derived ratio gauges computed from the counters at read time
     /// (e.g. `engine.index_hit_ratio`); only present when their
     /// denominators are nonzero.
     pub derived: BTreeMap<String, f64>,
     /// Histogram aggregates.
     pub hists: BTreeMap<(String, Option<u32>), Histogram>,
-}
-
-impl Snapshot {
-    /// Serialize as one JSON object (one line of JSON-lines output).
-    ///
-    /// Schema: `{"type":"snapshot","t_ns":N,"counters":{...},"gauges":
-    /// {...},"derived":{...},"hists":{...}}` where each metric map is
-    /// keyed `name` for global metrics and `name#<node>` for per-node
-    /// ones, in sorted order; `derived` holds the freeze-time ratio
-    /// gauges; histogram values are
-    /// `{"count":N,"sum":N,"min":N,"max":N,"mean":F}`.
-    pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|((name, node), v)| (render_key(name, *node), Json::UInt(*v)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|((name, node), v)| (render_key(name, *node), Json::Int(*v)))
-                .collect(),
-        );
-        let hists = Json::Obj(
-            self.hists
-                .iter()
-                .map(|((name, node), h)| {
-                    (
-                        render_key(name, *node),
-                        Json::obj([
-                            ("count", Json::UInt(h.count)),
-                            ("sum", Json::UInt(h.sum)),
-                            ("min", Json::UInt(h.min)),
-                            ("max", Json::UInt(h.max)),
-                            ("mean", Json::Float(h.mean())),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let derived = Json::Obj(
-            self.derived
-                .iter()
-                .map(|(name, v)| (name.clone(), Json::Float(*v)))
-                .collect(),
-        );
-        Json::obj([
-            ("type", Json::Str("snapshot".into())),
-            ("t_ns", Json::UInt(self.at_nanos)),
-            ("counters", counters),
-            ("gauges", gauges),
-            ("derived", derived),
-            ("hists", hists),
-        ])
-    }
 }
 
 fn render_key(name: &str, node: Option<u32>) -> String {
@@ -230,7 +173,7 @@ fn render_key(name: &str, node: Option<u32>) -> String {
     }
 }
 
-/// The shared metrics registry + span store + snapshotter.
+/// The shared metrics registry + span store + time-series sampler.
 ///
 /// Construct one per run, wrap it in a [`TelemetryHandle`] with
 /// [`Telemetry::handle`] (or `Arc::new`), and hand clones to the
@@ -254,9 +197,7 @@ impl Default for Telemetry {
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
 
 impl Telemetry {
-    /// A registry with span tracing disabled
-    /// and no periodic snapshotting (snapshots only on explicit
-    /// [`Telemetry::snapshot`]).
+    /// A registry with span tracing and time-series sampling disabled.
     pub fn new() -> Telemetry {
         Telemetry {
             inner: Mutex::new(Inner {
@@ -271,14 +212,6 @@ impl Telemetry {
     /// A shareable handle to a fresh registry.
     pub fn handle() -> TelemetryHandle {
         Arc::new(Telemetry::new())
-    }
-
-    /// Enable periodic snapshotting every `every_nanos` of simulated
-    /// time (drives [`Telemetry::maybe_snapshot`]).
-    pub fn set_snapshot_every_nanos(&self, every_nanos: u64) {
-        let mut g = self.lock();
-        g.snapshot_every_nanos = Some(every_nanos.max(1));
-        g.next_snapshot_nanos = every_nanos.max(1);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -325,36 +258,30 @@ impl Telemetry {
             .collect()
     }
 
-    /// Take a snapshot now (at simulated time `at_nanos`), regardless of
-    /// the periodic schedule, and return a copy of it.
+    /// Read every counter, gauge, derived ratio and histogram as of
+    /// simulated time `at_nanos`. Nothing is retained: trajectories over
+    /// time come from the time-series sampler.
     pub fn snapshot(&self, at_nanos: u64) -> Snapshot {
-        let mut g = self.lock();
-        let snap = freeze(&g, at_nanos);
-        g.snapshots.push(snap.clone());
-        snap
-    }
-
-    /// Snapshot if periodic snapshotting is enabled and simulated time
-    /// has reached the next due tick. Catch-up is single: one snapshot
-    /// per call even if multiple periods elapsed (the registry state in
-    /// between is gone anyway).
-    pub fn maybe_snapshot(&self, now_nanos: u64) {
-        let mut g = self.lock();
-        let Some(every) = g.snapshot_every_nanos else {
-            return;
-        };
-        if now_nanos < g.next_snapshot_nanos {
-            return;
+        let g = self.lock();
+        Snapshot {
+            at_nanos,
+            counters: g
+                .counters
+                .iter()
+                .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
+                .collect(),
+            gauges: g
+                .gauges
+                .iter()
+                .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
+                .collect(),
+            derived: derived_from_counters(&g.counters),
+            hists: g
+                .hists
+                .iter()
+                .map(|(&(n, nd), h)| ((n.to_string(), nd), h.clone()))
+                .collect(),
         }
-        let snap = freeze(&g, now_nanos);
-        g.snapshots.push(snap);
-        let periods = now_nanos / every + 1;
-        g.next_snapshot_nanos = periods * every;
-    }
-
-    /// All snapshots taken so far, oldest first.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.lock().snapshots.clone()
     }
 
     // --- Causal span tracing -------------------------------------------
@@ -512,16 +439,6 @@ impl Telemetry {
         self.lock().spans.clone()
     }
 
-    /// Serialize every snapshot as JSON-lines (one object per line).
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for s in self.lock().snapshots.iter() {
-            out.push_str(&s.to_json().to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     // --- Time-series sampling ------------------------------------------
 
     /// Enable time-series sampling every `every_nanos` of simulated time
@@ -647,28 +564,6 @@ fn sample_registry(g: &mut Inner, stamp: u64) {
     }
 }
 
-fn freeze(g: &Inner, at_nanos: u64) -> Snapshot {
-    Snapshot {
-        at_nanos,
-        counters: g
-            .counters
-            .iter()
-            .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
-            .collect(),
-        gauges: g
-            .gauges
-            .iter()
-            .map(|(&(n, nd), &v)| ((n.to_string(), nd), v))
-            .collect(),
-        derived: derived_from_counters(&g.counters),
-        hists: g
-            .hists
-            .iter()
-            .map(|(&(n, nd), h)| ((n.to_string(), nd), h.clone()))
-            .collect(),
-    }
-}
-
 /// Ratio gauges derived from raw hit/miss counter pairs, summed over all
 /// node scopes. A ratio is present only when its denominator is nonzero,
 /// so consumers can distinguish "no index activity" from "0% hits".
@@ -736,59 +631,23 @@ mod tests {
     }
 
     #[test]
-    fn periodic_snapshots_fire_on_schedule() {
+    fn derived_index_hit_ratio() {
         let t = Telemetry::new();
-        t.set_snapshot_every_nanos(1000);
-        t.count("c", None, 1);
-        t.maybe_snapshot(500); // not due
-        assert!(t.snapshots().is_empty());
-        t.maybe_snapshot(1000); // due exactly on the tick
-        t.maybe_snapshot(1100); // not due again until 2000
-        t.count("c", None, 1);
-        t.maybe_snapshot(2500); // due (single catch-up)
-        t.maybe_snapshot(2600); // next due is 3000
-        let snaps = t.snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].at_nanos, 1000);
-        assert_eq!(snaps[0].counters[&("c".to_string(), None)], 1);
-        assert_eq!(snaps[1].at_nanos, 2500);
-        assert_eq!(snaps[1].counters[&("c".to_string(), None)], 2);
-    }
-
-    #[test]
-    fn snapshot_json_is_deterministic() {
-        let t = Telemetry::new();
-        t.count("b", Some(2), 5);
-        t.count("b", None, 1);
-        t.count("a", Some(10), 3);
-        t.gauge("g", None, -4);
-        t.observe("h", Some(0), 8);
-        let line = t.snapshot(42).to_json().to_string();
-        assert_eq!(
-            line,
-            "{\"type\":\"snapshot\",\"t_ns\":42,\
-             \"counters\":{\"a#10\":3,\"b\":1,\"b#2\":5},\
-             \"gauges\":{\"g\":-4},\
-             \"derived\":{},\
-             \"hists\":{\"h#0\":{\"count\":1,\"sum\":8,\"min\":8,\"max\":8,\"mean\":8}}}"
-        );
-    }
-
-    #[test]
-    fn derived_index_hit_ratio_in_snapshot() {
-        let t = Telemetry::new();
+        t.set_timeseries(1000, 64);
         // No index activity: ratio absent, not 0/0.
         assert!(t.snapshot(1).derived.is_empty());
+        assert_eq!(t.sample_tick(1000), Some(1000));
+        assert_eq!(t.timeseries_get("engine.index_hit_ratio"), None);
         t.count(counters::INDEX_HITS, Some(0), 3);
         t.count(counters::INDEX_HITS, Some(1), 3);
         t.count(counters::INDEX_MISSES, Some(0), 2);
-        let snap = t.snapshot(2);
-        let ratio = snap.derived["engine.index_hit_ratio"];
+        let ratio = t.snapshot(2000).derived["engine.index_hit_ratio"];
         assert!((ratio - 0.75).abs() < 1e-12, "got {ratio}");
-        let line = snap.to_json().to_string();
-        assert!(
-            line.contains("\"derived\":{\"engine.index_hit_ratio\":0.75}"),
-            "derived gauge rendered: {line}"
+        // The sampler records the same ratio.
+        assert_eq!(t.sample_tick(2000), Some(2000));
+        assert_eq!(
+            t.timeseries_get("engine.index_hit_ratio").unwrap(),
+            vec![(2000, 0.75)]
         );
     }
 
@@ -843,19 +702,6 @@ mod tests {
         assert!(t.timeseries().is_empty());
         assert_eq!(t.timeseries_json_lines(), "");
         assert_eq!(t.timeseries_csv(), "");
-    }
-
-    #[test]
-    fn json_lines_one_object_per_snapshot() {
-        let t = Telemetry::new();
-        t.count("x", None, 1);
-        t.snapshot(1);
-        t.snapshot(2);
-        let rendered = t.to_json_lines();
-        let lines: Vec<&str> = rendered.trim_end().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"type\":\"snapshot\",\"t_ns\":1,"));
-        assert!(lines[1].starts_with("{\"type\":\"snapshot\",\"t_ns\":2,"));
     }
 
     #[test]

@@ -228,9 +228,8 @@ impl Sampler {
     /// If simulated time `now_nanos` has reached the next scheduled tick,
     /// consume it and return the *aligned* tick timestamp (the largest
     /// multiple of the cadence at or before `now_nanos`). Catch-up is
-    /// single, like [`crate::Telemetry::maybe_snapshot`]: one sample per
-    /// call even if several periods elapsed — the state in between is
-    /// gone anyway. Aligned stamps make same-cadence runs of different
+    /// single: one sample per call even if several periods elapsed — the
+    /// state in between is gone anyway. Aligned stamps make same-cadence runs of different
     /// schemes sample at identical virtual instants, so their series are
     /// directly comparable point by point.
     pub fn due(&mut self, now_nanos: u64) -> Option<u64> {
