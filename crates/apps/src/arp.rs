@@ -17,7 +17,10 @@ pub fn who_has(client: NodeId, ip: impl Into<String>, rqid: i64) -> Tuple {
 
 /// Create an ARP runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
-    Runtime::new(programs::arp(), net, recorder)
+    Runtime::builder(programs::arp(), net)
+        .recorder(recorder)
+        .build()
+        .expect("the bundled program passes analysis")
 }
 
 /// Configure `clients` to use `gateway` and install `(ip, mac)` bindings

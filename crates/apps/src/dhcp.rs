@@ -19,7 +19,10 @@ pub fn discover(client: NodeId, rqid: i64) -> Tuple {
 
 /// Create a DHCP runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
-    Runtime::new(programs::dhcp(), net, recorder)
+    Runtime::builder(programs::dhcp(), net)
+        .recorder(recorder)
+        .build()
+        .expect("the bundled program passes analysis")
 }
 
 /// Point `clients` at `server` and stock the server's address pool.

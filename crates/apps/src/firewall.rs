@@ -33,7 +33,10 @@ pub fn acl(loc: NodeId, src: NodeId) -> Tuple {
 
 /// Create a firewall-forwarding runtime over `net`.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
-    Runtime::new(program(), net, recorder)
+    Runtime::builder(program(), net)
+        .recorder(recorder)
+        .build()
+        .expect("the bundled program passes analysis")
 }
 
 /// Admit `src` at every node along the hop-shortest `src -> dst` path

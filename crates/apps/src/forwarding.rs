@@ -47,7 +47,10 @@ pub fn runtime_builder(net: Network) -> RuntimeBuilder<dpc_engine::NoopRecorder>
 
 /// Create a forwarding runtime over `net` with the given recorder.
 pub fn make_runtime<R: ProvRecorder>(net: Network, recorder: R) -> Runtime<R> {
-    Runtime::new(programs::packet_forwarding(), net, recorder)
+    runtime_builder(net)
+        .recorder(recorder)
+        .build()
+        .expect("the bundled program passes analysis")
 }
 
 /// Install hop-by-hop routes for every `(src, dst)` pair along the

@@ -1,16 +1,14 @@
 //! The DNS resolution experiment runner (Figures 13-16).
 
-use dpc_common::NodeId;
 use dpc_common::SeededRng;
 use dpc_engine::ProvRecorder;
 use dpc_ndlog::programs;
 use dpc_netsim::{topo, SimTime};
-use dpc_telemetry::Telemetry;
 use dpc_workload::Zipf;
 
 use dpc_apps::dns;
 
-use crate::{RunMeasurements, Scheme};
+use crate::{sampled_telemetry, RunMeasurements, Scheme};
 
 /// Configuration of a DNS run.
 #[derive(Debug, Clone)]
@@ -33,10 +31,6 @@ pub struct DnsConfig {
     /// If set, send exactly this many requests, evenly spaced (Figure
     /// 14/15 style).
     pub total_requests: Option<usize>,
-    /// Evaluate rules through compiled plans (the default). `false` runs
-    /// the naive AST interpreter — the "before" baseline of
-    /// `BENCH_pr3.json`.
-    pub compiled_plans: bool,
 }
 
 impl Default for DnsConfig {
@@ -50,7 +44,6 @@ impl Default for DnsConfig {
             sample_every: SimTime::from_secs(1),
             zipf_exponent: 1.0,
             total_requests: None,
-            compiled_plans: true,
         }
     }
 }
@@ -100,14 +93,11 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
         },
     );
     let n = tree.net.node_count();
-    let mut rt = dns::make_runtime(&tree, make(n));
-    rt.set_compiled_plans(cfg.compiled_plans);
-    let telemetry = Telemetry::handle();
-    telemetry.set_timeseries(
-        cfg.sample_every.as_nanos(),
-        dpc_telemetry::DEFAULT_SERIES_CAPACITY,
-    );
-    rt.attach_telemetry(telemetry);
+    let mut rt = dns::runtime_builder(&tree)
+        .recorder(make(n))
+        .telemetry(sampled_telemetry(cfg.sample_every))
+        .build()
+        .expect("the bundled program passes analysis");
     // A single client (the root node's host role): equivalence classes are
     // then exactly the URLs, matching the paper's Figure 14 discussion.
     let client = tree.root;
@@ -132,25 +122,8 @@ fn run_generic<R: ProvRecorder>(cfg: &DnsConfig, make: impl FnOnce(usize) -> R) 
     let t0 = std::time::Instant::now();
     rt.run().expect("drain");
     let processing_secs = t0.elapsed().as_secs_f64();
-    let duration = rt.now().max(cfg.duration);
-
-    let per_node_storage: Vec<usize> = (0..n)
-        .map(|i| rt.recorder().storage_at(NodeId(i as u32)))
-        .collect();
-    let telemetry = rt
-        .telemetry()
-        .cloned()
-        .expect("run_generic always attaches telemetry");
     DnsRunOutput {
-        m: RunMeasurements {
-            per_node_storage,
-            total_traffic: rt.stats().total_bytes(),
-            per_link_bytes: rt.stats().per_link_totals(),
-            outputs: rt.outputs().len(),
-            rules_fired: rt.rules_fired(),
-            duration,
-            telemetry,
-        },
+        m: RunMeasurements::from_run(&rt, cfg.duration),
         injected: total,
         resolved: rt.outputs().len(),
         processing_secs,

@@ -9,12 +9,11 @@ use dpc_core::{
 use dpc_engine::{ProvRecorder, Runtime};
 use dpc_ndlog::{equivalence_keys, programs};
 use dpc_netsim::{topo, SimTime};
-use dpc_telemetry::Telemetry;
 use dpc_workload::random_pairs;
 
 use dpc_apps::forwarding;
 
-use crate::{RunMeasurements, Scheme};
+use crate::{sampled_telemetry, RunMeasurements, Scheme};
 
 /// Configuration of a forwarding run.
 #[derive(Debug, Clone)]
@@ -27,8 +26,6 @@ pub struct FwdConfig {
     pub rate_per_pair: f64,
     /// Simulated duration of the injection phase.
     pub duration: SimTime,
-    /// Packet payload size (the paper uses 500 characters).
-    pub payload_len: usize,
     /// Time-series sampling interval (the paper samples storage every
     /// 10 s).
     pub sample_every: SimTime,
@@ -41,10 +38,6 @@ pub struct FwdConfig {
     /// Head-based span sampling: trace every `n`-th execution (0 = span
     /// tracing off, the default; 1 = trace everything).
     pub trace_sample: u64,
-    /// Evaluate rules through compiled plans (the default). `false` runs
-    /// the naive AST interpreter — the "before" baseline of
-    /// `BENCH_pr3.json`.
-    pub compiled_plans: bool,
     /// Transit-stub topology parameters (default: the paper's 100-node
     /// configuration). Larger topologies mean more destinations and thus
     /// bigger per-node `route` tables.
@@ -58,12 +51,10 @@ impl Default for FwdConfig {
             pairs: 20,
             rate_per_pair: 10.0,
             duration: SimTime::from_secs(10),
-            payload_len: 500,
             sample_every: SimTime::from_secs(1),
             route_update_every: None,
             total_packets: None,
             trace_sample: 0,
-            compiled_plans: true,
             topo: topo::TransitStubParams::default(),
         }
     }
@@ -97,15 +88,6 @@ pub struct FwdRunOutput {
     pub processing_secs: f64,
 }
 
-fn payload_of(seq: u64, len: usize) -> String {
-    let mut s = format!("pkt-{seq}-");
-    while s.len() < len {
-        s.push('x');
-    }
-    s.truncate(len.max(8));
-    s
-}
-
 /// Run the forwarding workload under `scheme`. The scheme-to-recorder
 /// mapping is [`Scheme::recorder`]; every scheme (including
 /// [`Scheme::Noop`]) runs through the same generic driver.
@@ -134,17 +116,15 @@ pub(crate) fn prepare<R: ProvRecorder>(
     let mut rng = SeededRng::seed_from_u64(cfg.seed);
     let ts = topo::transit_stub(&mut rng, &cfg.topo);
     let n = ts.net.node_count();
-    let mut rt = forwarding::make_runtime(ts.net, make(n));
-    rt.set_compiled_plans(cfg.compiled_plans);
-    let telemetry = Telemetry::handle();
-    telemetry.set_timeseries(
-        cfg.sample_every.as_nanos(),
-        dpc_telemetry::DEFAULT_SERIES_CAPACITY,
-    );
+    let telemetry = sampled_telemetry(cfg.sample_every);
     if cfg.trace_sample > 0 {
         telemetry.set_span_sampling(cfg.trace_sample);
     }
-    rt.attach_telemetry(telemetry);
+    let mut rt = forwarding::runtime_builder(ts.net)
+        .recorder(make(n))
+        .telemetry(telemetry)
+        .build()
+        .expect("the bundled program passes analysis");
     let pairs = random_pairs(&mut rng, &ts.stub, cfg.pairs);
     forwarding::install_routes_for_pairs(&mut rt, &pairs).expect("transit-stub is connected");
     rt.clear_stats();
@@ -158,7 +138,7 @@ pub(crate) fn prepare<R: ProvRecorder>(
                 let (s, d) = pairs[i % pairs.len()];
                 let at = SimTime::from_nanos(interval.as_nanos() * i as u64);
                 rt.inject_at(
-                    forwarding::packet(s, s, d, payload_of(i as u64, cfg.payload_len)),
+                    forwarding::packet(s, s, d, forwarding::payload(i as u64)),
                     at,
                 )
                 .expect("valid packet");
@@ -172,11 +152,8 @@ pub(crate) fn prepare<R: ProvRecorder>(
                 for k in 0..per_pair {
                     let at = SimTime::from_nanos(interval.as_nanos() * k as u64);
                     let seq = (pi * per_pair + k) as u64;
-                    rt.inject_at(
-                        forwarding::packet(s, s, d, payload_of(seq, cfg.payload_len)),
-                        at,
-                    )
-                    .expect("valid packet");
+                    rt.inject_at(forwarding::packet(s, s, d, forwarding::payload(seq)), at)
+                        .expect("valid packet");
                     injected += 1;
                 }
             }
@@ -212,26 +189,8 @@ pub(crate) fn prepare<R: ProvRecorder>(
 /// [`prepare`]), which samples inside the event loop at deterministic
 /// virtual timestamps.
 fn drive<R: ProvRecorder>(mut rt: Runtime<R>, cfg: &FwdConfig) -> (Runtime<R>, RunMeasurements) {
-    let n = rt.net().node_count();
     rt.run().expect("drain");
-    let duration = rt.now().max(cfg.duration);
-
-    let per_node_storage: Vec<usize> = (0..n)
-        .map(|i| rt.recorder().storage_at(NodeId(i as u32)))
-        .collect();
-    let telemetry = rt
-        .telemetry()
-        .cloned()
-        .expect("prepare() always attaches telemetry");
-    let m = RunMeasurements {
-        per_node_storage,
-        total_traffic: rt.stats().total_bytes(),
-        per_link_bytes: rt.stats().per_link_totals(),
-        outputs: rt.outputs().len(),
-        rules_fired: rt.rules_fired(),
-        duration,
-        telemetry,
-    };
+    let m = RunMeasurements::from_run(&rt, cfg.duration);
     (rt, m)
 }
 

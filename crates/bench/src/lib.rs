@@ -17,8 +17,9 @@ pub mod report;
 pub mod tracerun;
 
 use dpc_common::NodeId;
+use dpc_engine::{ProvRecorder, Runtime};
 use dpc_netsim::SimTime;
-use dpc_telemetry::TelemetryHandle;
+use dpc_telemetry::{Telemetry, TelemetryHandle};
 
 pub use dnsrun::{run_dns, DnsConfig, DnsRunOutput};
 pub use fwdrun::{
@@ -67,6 +68,14 @@ pub use report::{
 // the harness re-exports it so figure binaries keep a single import path.
 pub use dpc_core::Scheme;
 
+/// A fresh telemetry sink that samples its time series every `every` of
+/// simulated time — what the harness attaches to every measured run.
+pub(crate) fn sampled_telemetry(every: SimTime) -> TelemetryHandle {
+    let telemetry = Telemetry::handle();
+    telemetry.set_timeseries(every.as_nanos(), dpc_telemetry::DEFAULT_SERIES_CAPACITY);
+    telemetry
+}
+
 /// Shared storage/traffic measurements from one run.
 #[derive(Debug, Clone)]
 pub struct RunMeasurements {
@@ -89,6 +98,31 @@ pub struct RunMeasurements {
 }
 
 impl RunMeasurements {
+    /// Read the measurements off a drained run whose injection phase
+    /// lasted `injection`. The runtime must have been built with a
+    /// telemetry sink (see [`sampled_telemetry`]).
+    pub(crate) fn from_run<R: ProvRecorder>(
+        rt: &Runtime<R>,
+        injection: SimTime,
+    ) -> RunMeasurements {
+        RunMeasurements {
+            per_node_storage: rt
+                .net()
+                .nodes()
+                .map(|n| rt.recorder().storage_at(n))
+                .collect(),
+            total_traffic: rt.stats().total_bytes(),
+            per_link_bytes: rt.stats().per_link_totals(),
+            outputs: rt.outputs().len(),
+            rules_fired: rt.rules_fired(),
+            duration: rt.now().max(injection),
+            telemetry: rt
+                .telemetry()
+                .cloned()
+                .expect("harness runtimes are built with telemetry"),
+        }
+    }
+
     /// `htequi` equivalence-cache `(hits, misses)` over the run — nonzero
     /// only under the Advanced schemes.
     pub fn htequi_hits_misses(&self) -> (u64, u64) {
@@ -109,8 +143,7 @@ impl RunMeasurements {
         }
     }
 
-    /// Secondary-index join probe `(hits, misses)` over the run — nonzero
-    /// only when the engine evaluates through compiled rule plans.
+    /// Secondary-index join probe `(hits, misses)` over the run.
     pub fn index_hits_misses(&self) -> (u64, u64) {
         (
             self.telemetry
@@ -127,7 +160,7 @@ impl RunMeasurements {
     }
 
     /// Secondary-index hit ratio in `[0, 1]`, or `None` when no probes
-    /// ran (e.g. the naive interpreter path).
+    /// ran.
     pub fn index_hit_ratio(&self) -> Option<f64> {
         let (h, m) = self.index_hits_misses();
         if h + m == 0 {

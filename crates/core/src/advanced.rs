@@ -401,6 +401,7 @@ impl ProvRecorder for AdvancedRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_apps::forwarding;
     use dpc_common::Value;
     use dpc_engine::Runtime;
     use dpc_ndlog::{equivalence_keys, programs};
@@ -444,7 +445,7 @@ mod tests {
         } else {
             AdvancedRecorder::new(nodes, fwd_keys())
         };
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, rec);
+        let mut rt = forwarding::make_runtime(net, rec);
         for i in 0..nodes as u32 - 1 {
             rt.install(route(i, nodes as u32 - 1, i + 1)).unwrap();
         }

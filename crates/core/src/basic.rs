@@ -170,9 +170,9 @@ impl ProvRecorder for BasicRecorder {
 mod tests {
     use super::*;
     use crate::exspan::ExspanRecorder;
+    use dpc_apps::forwarding;
     use dpc_common::Value;
     use dpc_engine::Runtime;
-    use dpc_ndlog::programs;
     use dpc_netsim::{topo, Link};
 
     fn n(i: u32) -> NodeId {
@@ -204,7 +204,7 @@ mod tests {
 
     fn run_figure2() -> Runtime<BasicRecorder> {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, BasicRecorder::new(3));
+        let mut rt = forwarding::make_runtime(net, BasicRecorder::new(3));
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
@@ -256,12 +256,8 @@ mod tests {
     fn rids_match_exspan() {
         // Section 4: Basic's vid/rid values are identical to ExSPAN's.
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt_b = Runtime::new(
-            programs::packet_forwarding(),
-            net.clone(),
-            BasicRecorder::new(3),
-        );
-        let mut rt_e = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        let mut rt_b = forwarding::make_runtime(net.clone(), BasicRecorder::new(3));
+        let mut rt_e = forwarding::make_runtime(net, ExspanRecorder::new(3));
         rt_b.install(route(0, 2, 1)).unwrap();
         rt_b.install(route(1, 2, 2)).unwrap();
         rt_b.inject(packet(0, 0, 2, "data")).unwrap();
@@ -281,12 +277,8 @@ mod tests {
     #[test]
     fn basic_stores_less_than_exspan() {
         let net = topo::line(5, Link::STUB_STUB);
-        let mut rt_b = Runtime::new(
-            programs::packet_forwarding(),
-            net.clone(),
-            BasicRecorder::new(5),
-        );
-        let mut rt_e = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(5));
+        let mut rt_b = forwarding::make_runtime(net.clone(), BasicRecorder::new(5));
+        let mut rt_e = forwarding::make_runtime(net, ExspanRecorder::new(5));
         for i in 0..4u32 {
             rt_b.install(route(i, 4, i + 1)).unwrap();
             rt_e.install(route(i, 4, i + 1)).unwrap();

@@ -283,7 +283,7 @@ mod tests {
 
     fn setup<R: ProvRecorder>(delp: Delp, rec: R) -> Runtime<R> {
         let net = topo::line(4, Link::STUB_STUB);
-        let mut rt = Runtime::new(delp, net, rec);
+        let mut rt = Runtime::builder(delp, net).recorder(rec).build().unwrap();
         for i in 0..3u32 {
             rt.install(forwarding::route(n(i), n(3), n(i + 1))).unwrap();
         }

@@ -719,7 +719,10 @@ mod tests {
         let src = "r1 out(@X, K) :- e(@X, K), s(@X, V).";
         let delp = dpc_ndlog::Delp::new(dpc_ndlog::parse_program(src).unwrap()).unwrap();
         let rec = AdvancedRecorder::new(1, equivalence_keys(&delp));
-        let mut rt = Runtime::new(delp, dpc_netsim::Network::with_nodes(1), rec);
+        let mut rt = Runtime::builder(delp, dpc_netsim::Network::with_nodes(1))
+            .recorder(rec)
+            .build()
+            .unwrap();
         let (x, int) = (dpc_common::Value::Addr(n(0)), dpc_common::Value::Int);
         for v in [7, 8] {
             rt.install(Tuple::new("s", vec![x.clone(), int(v)]))

@@ -195,9 +195,9 @@ impl ProvRecorder for ExspanRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_apps::forwarding;
     use dpc_common::Value;
     use dpc_engine::Runtime;
-    use dpc_ndlog::programs;
     use dpc_netsim::{topo, Link};
 
     fn n(i: u32) -> NodeId {
@@ -230,7 +230,7 @@ mod tests {
     /// Figure 2 deployment with ExSPAN provenance: reproduces Table 1.
     fn run_figure2() -> Runtime<ExspanRecorder> {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        let mut rt = forwarding::make_runtime(net, ExspanRecorder::new(3));
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn storage_grows_per_packet() {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, ExspanRecorder::new(3));
+        let mut rt = forwarding::make_runtime(net, ExspanRecorder::new(3));
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.inject(packet(0, 0, 2, "p0")).unwrap();

@@ -248,6 +248,7 @@ pub fn query_advanced_all<S: AdvancedStore>(
 mod tests {
     use super::*;
     use crate::reference::GroundTruthRecorder;
+    use dpc_apps::forwarding;
     use dpc_common::Value;
     use dpc_engine::TeeRecorder;
     use dpc_ndlog::{equivalence_keys, programs};
@@ -282,7 +283,7 @@ mod tests {
 
     fn setup<R: ProvRecorder>(k: usize, rec: R, payloads: &[&str]) -> Runtime<R> {
         let net = topo::line(k, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, rec);
+        let mut rt = forwarding::make_runtime(net, rec);
         for i in 0..k as u32 - 1 {
             rt.install(route(i, k as u32 - 1, i + 1)).unwrap();
         }
@@ -417,7 +418,10 @@ mod tests {
             AdvancedRecorder::new(1, keys),
             crate::GroundTruthRecorder::new(),
         );
-        let mut rt = dpc_engine::Runtime::new(delp, dpc_netsim::Network::with_nodes(1), rec);
+        let mut rt = dpc_engine::Runtime::builder(delp, dpc_netsim::Network::with_nodes(1))
+            .recorder(rec)
+            .build()
+            .unwrap();
         // Two distinct `t` rows joining the same mid tuple -> two
         // derivations of the same `out` tuple.
         let t1 = Tuple::new("t", vec![Value::Addr(n(0)), Value::Int(1)]);
@@ -448,11 +452,10 @@ mod tests {
         "#;
         let delp = dpc_ndlog::Delp::new(dpc_ndlog::parse_program(src).unwrap()).unwrap();
         let keys = dpc_ndlog::equivalence_keys(&delp);
-        let mut rt = dpc_engine::Runtime::new(
-            delp,
-            dpc_netsim::Network::with_nodes(1),
-            AdvancedRecorder::new(1, keys),
-        );
+        let mut rt = dpc_engine::Runtime::builder(delp, dpc_netsim::Network::with_nodes(1))
+            .recorder(AdvancedRecorder::new(1, keys))
+            .build()
+            .unwrap();
         rt.install(Tuple::new("s", vec![Value::Addr(n(0)), Value::Int(7)]))
             .unwrap();
         rt.install(Tuple::new("s", vec![Value::Addr(n(0)), Value::Int(8)]))

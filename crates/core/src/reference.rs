@@ -155,9 +155,9 @@ impl ProvRecorder for GroundTruthRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_apps::forwarding;
     use dpc_common::Value;
     use dpc_engine::Runtime;
-    use dpc_ndlog::programs;
     use dpc_netsim::{topo, Link};
 
     fn n(i: u32) -> NodeId {
@@ -189,11 +189,7 @@ mod tests {
 
     fn run_line(k: usize, payloads: &[&str]) -> Runtime<GroundTruthRecorder> {
         let net = topo::line(k, Link::STUB_STUB);
-        let mut rt = Runtime::new(
-            programs::packet_forwarding(),
-            net,
-            GroundTruthRecorder::new(),
-        );
+        let mut rt = forwarding::make_runtime(net, GroundTruthRecorder::new());
         for i in 0..k as u32 - 1 {
             rt.install(route(i, k as u32 - 1, i + 1)).unwrap();
         }
@@ -246,11 +242,7 @@ mod tests {
     #[test]
     fn dropped_packets_stay_pending() {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(
-            programs::packet_forwarding(),
-            net,
-            GroundTruthRecorder::new(),
-        );
+        let mut rt = forwarding::make_runtime(net, GroundTruthRecorder::new());
         // Route at n0 but a black hole at n1.
         rt.install(route(0, 2, 1)).unwrap();
         rt.inject(packet(0, 0, 2, "lost")).unwrap();

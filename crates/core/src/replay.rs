@@ -14,9 +14,8 @@
 //! derived tuple — intermediate events included — can be read.
 
 use dpc_common::{Result, StorageSize, Tuple};
-use dpc_engine::{ProvRecorder, Runtime};
-use dpc_ndlog::Delp;
-use dpc_netsim::{Network, SimTime};
+use dpc_engine::{ProvRecorder, Runtime, RuntimeBuilder};
+use dpc_netsim::SimTime;
 
 use crate::reference::GroundTruthRecorder;
 
@@ -89,17 +88,16 @@ impl ReplayLog {
             .sum()
     }
 
-    /// Re-execute the logged run on a fresh runtime over `net`, capturing
-    /// full provenance trees. `configure` runs before any operation (use
-    /// it to register user-defined functions).
-    pub fn replay(
+    /// Re-execute the logged run on a runtime built from `builder`,
+    /// capturing full provenance trees. Pass the builder the original run
+    /// was made from (same program, network, functions and config): its
+    /// recorder is swapped for a [`GroundTruthRecorder`] before it builds,
+    /// and the logged operations are applied in record order.
+    pub fn replay<R: ProvRecorder>(
         &self,
-        delp: Delp,
-        net: Network,
-        configure: impl FnOnce(&mut Runtime<GroundTruthRecorder>),
+        builder: RuntimeBuilder<R>,
     ) -> Result<Runtime<GroundTruthRecorder>> {
-        let mut rt = Runtime::new(delp, net, GroundTruthRecorder::new());
-        configure(&mut rt);
+        let mut rt = builder.recorder(GroundTruthRecorder::new()).build()?;
         for op in &self.ops {
             match op {
                 ReplayOp::Install(t) => rt.install(t.clone())?,
@@ -189,11 +187,13 @@ impl<R: ProvRecorder> ReplayableRuntime<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advanced::AdvancedRecorder;
     use crate::exspan::ExspanRecorder;
-    use dpc_apps::forwarding;
-    use dpc_common::NodeId;
-    use dpc_ndlog::programs;
-    use dpc_netsim::{topo, Link};
+    use dpc_apps::{dns, forwarding};
+    use dpc_common::{NodeId, SeededRng};
+    use dpc_engine::{NoopRecorder, OutputRecord, TeeRecorder};
+    use dpc_ndlog::{equivalence_keys, programs};
+    use dpc_netsim::{topo, Link, Network};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -222,9 +222,7 @@ mod tests {
     #[test]
     fn replay_reproduces_outputs_exactly() {
         let (live, log, net) = record_run();
-        let replayed = log
-            .replay(programs::packet_forwarding(), net, |_| {})
-            .unwrap();
+        let replayed = log.replay(forwarding::runtime_builder(net)).unwrap();
         assert_eq!(live.outputs().len(), replayed.outputs().len());
         for (a, b) in live.outputs().iter().zip(replayed.outputs()) {
             assert_eq!(a.tuple, b.tuple);
@@ -239,9 +237,7 @@ mod tests {
     #[test]
     fn replay_yields_provenance_of_less_interesting_tuples() {
         let (_, log, net) = record_run();
-        let replayed = log
-            .replay(programs::packet_forwarding(), net, |_| {})
-            .unwrap();
+        let replayed = log.replay(forwarding::runtime_builder(net)).unwrap();
         // The intermediate packet at n2 is not a relation of interest, so
         // no scheme stored its tree — but replay recovers it.
         let mid = forwarding::packet(n(2), n(0), n(3), "p0");
@@ -297,9 +293,7 @@ mod tests {
         let (_, log) = rec.into_parts();
         assert_eq!(log.len(), 7);
 
-        let replayed = log
-            .replay(programs::packet_forwarding(), net, |_| {})
-            .unwrap();
+        let replayed = log.replay(forwarding::runtime_builder(net)).unwrap();
         assert_eq!(replayed.outputs().len(), 2);
         let trees = replayed.recorder().trees();
         assert!(trees[0].2.render().contains("@n1"));
@@ -307,15 +301,71 @@ mod tests {
     }
 
     #[test]
+    fn replay_rebuilds_a_dns_run_with_its_user_functions() {
+        // The DNS rules call the user function `f_isSubDomain`: the replay
+        // must be built with the original program's function registry.
+        let mut rng = SeededRng::seed_from_u64(7);
+        let params = topo::TreeParams {
+            nodes: 12,
+            ..topo::TreeParams::default()
+        };
+        let tree = topo::tree(&mut rng, &params);
+        let n = tree.net.node_count();
+        // Stage the deployment on a throwaway runtime, then install its base
+        // tuples through the wrapper so they are logged.
+        let mut staged = dns::make_runtime(&tree, NoopRecorder);
+        let dep = dns::deploy(&mut staged, &tree, 4, &[tree.root]).unwrap();
+        let keys = equivalence_keys(&programs::dns_resolution());
+        let rt = dns::runtime_builder(&tree)
+            .recorder(TeeRecorder::new(
+                AdvancedRecorder::new(n, keys),
+                GroundTruthRecorder::new(),
+            ))
+            .build()
+            .unwrap();
+        let mut rec = ReplayableRuntime::new(rt);
+        for node in tree.net.nodes() {
+            for rel in ["nameServer", "addressRecord", "rootServer"] {
+                for t in staged.db(node).rows(rel) {
+                    rec.install(t.clone()).unwrap();
+                }
+            }
+        }
+        for (i, (url, _, _)) in dep.urls.iter().cycle().take(10).enumerate() {
+            rec.inject_at(
+                dns::url_event(tree.root, url.clone(), i as i64),
+                SimTime::from_millis(i as u64 * 5),
+            )
+            .unwrap();
+        }
+        rec.run().unwrap();
+        let (live, log) = rec.into_parts();
+        assert_eq!(live.outputs().len(), 10);
+
+        let replayed = log.replay(dns::runtime_builder(&tree)).unwrap();
+        // Advanced ships more metadata than the ground-truth recorder, so
+        // arrival times (and with them completion order) may differ;
+        // compare in a canonical order.
+        let outputs = |outs: &[OutputRecord]| {
+            let mut v: Vec<_> = outs.iter().map(|o| (o.evid, o.tuple.clone())).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(outputs(live.outputs()), outputs(replayed.outputs()));
+        let trees = |r: &GroundTruthRecorder| {
+            let mut v = r.trees().to_vec();
+            v.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+            v
+        };
+        assert_eq!(trees(&live.recorder().shadow), trees(replayed.recorder()));
+    }
+
+    #[test]
     fn empty_log_replays_to_nothing() {
         let log = ReplayLog::new();
         assert!(log.is_empty());
         let replayed = log
-            .replay(
-                programs::packet_forwarding(),
-                topo::line(2, Link::STUB_STUB),
-                |_| {},
-            )
+            .replay(forwarding::runtime_builder(topo::line(2, Link::STUB_STUB)))
             .unwrap();
         assert!(replayed.outputs().is_empty());
     }

@@ -5,6 +5,11 @@
 //! [`Firing`] carries the head tuple *and* the slow-changing tuples the
 //! join consumed, in body order — exactly the information the provenance
 //! recorders need.
+//!
+//! The runtime itself evaluates through compiled
+//! [`RulePlan`](crate::plan::RulePlan)s. This interpreter is the oracle
+//! they are differentially tested against, and the re-executor behind
+//! Advanced-scheme provenance queries.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -12,7 +12,7 @@
 //! `sig` control message that makes every node clear its equivalence-keys
 //! hash table, so subsequent executions re-materialize provenance.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use dpc_common::{Error, EvId, NodeId, Result, StorageSize, Tuple, Vid};
 use dpc_ndlog::{analyze, Delp, Mode as AnalysisMode};
@@ -20,7 +20,7 @@ use dpc_netsim::{Network, Sim, SimTime, TrafficStats};
 use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
 
 use crate::db::Database;
-use crate::eval::{eval_rule, FnRegistry};
+use crate::eval::FnRegistry;
 use crate::plan::{EvalStats, PlanSet, RulePlan};
 use crate::recorder::{NoopRecorder, ProvMeta, ProvRecorder, Stage};
 
@@ -85,11 +85,6 @@ pub struct RuntimeConfig {
     /// Keep an [`OutputRecord`] per derived output. Disable for very
     /// large measurement runs; [`Runtime::outputs_count`] still counts.
     pub record_outputs: bool,
-    /// Evaluate rules through compiled [`RulePlan`]s (slot bindings +
-    /// secondary-index joins) instead of the naive AST interpreter. On by
-    /// default; the interpreter is kept for differential testing and as
-    /// the "before" baseline in benchmarks.
-    pub compiled_plans: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -100,7 +95,6 @@ impl Default for RuntimeConfig {
             header_bytes: 28,
             retain_tuples: true,
             record_outputs: true,
-            compiled_plans: true,
         }
     }
 }
@@ -122,9 +116,10 @@ pub struct RunMetrics {
     pub total_storage_bytes: usize,
 }
 
-/// A fluent constructor for [`Runtime`]: collects the recorder, config,
-/// relations of interest, user functions and telemetry sink, then
-/// validates everything in one [`RuntimeBuilder::build`] call.
+/// The only constructor for [`Runtime`], started by [`Runtime::builder`]:
+/// collects the recorder, config, relations of interest, user functions
+/// and telemetry sink, then validates everything in one
+/// [`RuntimeBuilder::build`] call.
 ///
 /// ```ignore
 /// let rt = Runtime::builder(delp, net)
@@ -143,22 +138,6 @@ pub struct RuntimeBuilder<R = NoopRecorder> {
     interest: Vec<String>,
     fns: FnRegistry,
     telemetry: Option<TelemetryHandle>,
-}
-
-impl RuntimeBuilder<NoopRecorder> {
-    /// Start a builder with the no-op recorder (swap it with
-    /// [`RuntimeBuilder::recorder`]).
-    pub fn new(delp: Delp, net: Network) -> RuntimeBuilder<NoopRecorder> {
-        RuntimeBuilder {
-            delp,
-            net,
-            recorder: NoopRecorder,
-            config: RuntimeConfig::default(),
-            interest: Vec::new(),
-            fns: FnRegistry::new(),
-            telemetry: None,
-        }
-    }
 }
 
 impl<R: ProvRecorder> RuntimeBuilder<R> {
@@ -243,17 +222,57 @@ impl<R: ProvRecorder> RuntimeBuilder<R> {
             return Err(Error::InvalidDelp(report));
         }
         let lint_warnings = analysis.warnings().count() as u64;
+        let plans = PlanSet::compile(&self.delp)?;
+        plans.audit()?;
+        let interest = interest_set(&self.delp, self.interest)?;
 
-        let mut rt = Runtime::new(self.delp, self.net, self.recorder);
-        rt.plans.audit()?;
-        rt.lint_warnings = lint_warnings;
-        rt.config = self.config;
-        rt.fns = self.fns;
-        rt.apply_interest(self.interest)?;
-        if let Some(t) = self.telemetry {
-            rt.attach_telemetry(t);
+        let n = self.net.node_count();
+        let mut sim = Sim::new(self.net);
+        let mut recorder = self.recorder;
+        if let Some(t) = &self.telemetry {
+            sim.set_telemetry(t.clone());
+            recorder.attach_telemetry(t.clone());
+            t.count(
+                dpc_telemetry::counters::PLANS_COMPILED,
+                None,
+                plans.len() as u64,
+            );
+            if lint_warnings > 0 {
+                t.count(dpc_telemetry::counters::LINT_WARNINGS, None, lint_warnings);
+            }
         }
-        Ok(rt)
+        Ok(Runtime {
+            delp: self.delp,
+            plans,
+            sim,
+            dbs: (0..n).map(|_| Database::new()).collect(),
+            events: (0..n).map(|_| HashMap::new()).collect(),
+            fns: self.fns,
+            recorder,
+            outputs: Vec::new(),
+            next_exec_id: 0,
+            config: self.config,
+            interest,
+            metrics: vec![NodeMetrics::default(); n],
+            outputs_count: 0,
+            rules_fired: 0,
+            telemetry: self.telemetry,
+        })
+    }
+}
+
+/// Validate the relations of interest (Section 3.2): head relations whose
+/// tuples — even intermediate ones — get concrete provenance associations
+/// (a stage 3 call per derived tuple), so administrators can query them
+/// directly instead of replaying. Output relations are always of interest
+/// and need not be listed.
+fn interest_set(delp: &Delp, rels: Vec<String>) -> Result<BTreeSet<String>> {
+    let heads: BTreeSet<&str> = delp.rules().iter().map(|r| r.head.rel.as_str()).collect();
+    match rels.iter().find(|r| !heads.contains(r.as_str())) {
+        Some(r) => Err(Error::Schema(format!(
+            "`{r}` is not a derived (head) relation of this program"
+        ))),
+        None => Ok(rels.into_iter().collect()),
     }
 }
 
@@ -277,117 +296,40 @@ pub struct Runtime<R> {
     /// Relations of interest beyond the output relations (Section 3.2):
     /// intermediate head relations whose tuples also get concrete
     /// provenance associations.
-    interest: std::collections::BTreeSet<String>,
+    interest: BTreeSet<String>,
     metrics: Vec<NodeMetrics>,
     outputs_count: u64,
     /// Errors from rule evaluation are fatal to the run; kept for context.
     rules_fired: u64,
-    /// Static-analysis warnings accepted at build time (see
-    /// [`RuntimeBuilder::build`]); exported when telemetry attaches.
-    lint_warnings: u64,
     telemetry: Option<TelemetryHandle>,
 }
 
 impl Runtime<NoopRecorder> {
-    /// Start a [`RuntimeBuilder`] for `delp` on `net` (no-op recorder
-    /// until [`RuntimeBuilder::recorder`] replaces it).
+    /// Start a [`RuntimeBuilder`] for `delp` on `net` — the only way to
+    /// get a [`Runtime`]. The recorder is the no-op one until
+    /// [`RuntimeBuilder::recorder`] replaces it.
     pub fn builder(delp: Delp, net: Network) -> RuntimeBuilder<NoopRecorder> {
-        RuntimeBuilder::new(delp, net)
+        RuntimeBuilder {
+            delp,
+            net,
+            recorder: NoopRecorder,
+            config: RuntimeConfig::default(),
+            interest: Vec::new(),
+            fns: FnRegistry::new(),
+            telemetry: None,
+        }
     }
 }
 
 impl<R: ProvRecorder> Runtime<R> {
-    /// Deploy `delp` on `net` with the given provenance recorder.
-    pub fn new(delp: Delp, net: Network, recorder: R) -> Runtime<R> {
-        let n = net.node_count();
-        let plans = PlanSet::compile(&delp).expect("validated DELP: every rule has an event atom");
-        Runtime {
-            delp,
-            plans,
-            sim: Sim::new(net),
-            dbs: (0..n).map(|_| Database::new()).collect(),
-            events: (0..n).map(|_| HashMap::new()).collect(),
-            fns: FnRegistry::new(),
-            recorder,
-            outputs: Vec::new(),
-            next_exec_id: 0,
-            config: RuntimeConfig::default(),
-            interest: std::collections::BTreeSet::new(),
-            metrics: vec![NodeMetrics::default(); n],
-            outputs_count: 0,
-            rules_fired: 0,
-            lint_warnings: 0,
-            telemetry: None,
-        }
-    }
-
     /// Execution counters for one node.
     pub fn node_metrics(&self, node: NodeId) -> NodeMetrics {
         self.metrics[node.index()]
     }
 
-    /// Validate and install the relations of interest (Section 3.2):
-    /// head relations whose tuples — even intermediate ones — get
-    /// concrete provenance associations (a stage 3 call per derived
-    /// tuple), so administrators can query them directly instead of
-    /// replaying. Output relations are always of interest and need not be
-    /// listed. Called from [`RuntimeBuilder::build`].
-    fn apply_interest<I, S>(&mut self, rels: I) -> Result<()>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let heads: std::collections::BTreeSet<&str> = self
-            .delp
-            .rules()
-            .iter()
-            .map(|r| r.head.rel.as_str())
-            .collect();
-        let mut set = std::collections::BTreeSet::new();
-        for r in rels {
-            let r: String = r.into();
-            if !heads.contains(r.as_str()) {
-                return Err(Error::Schema(format!(
-                    "`{r}` is not a derived (head) relation of this program"
-                )));
-            }
-            set.insert(r);
-        }
-        self.interest = set;
-        Ok(())
-    }
-
-    /// Attach a telemetry sink to the simulator, the recorder and the
-    /// runtime itself. Usually set through
-    /// [`RuntimeBuilder::telemetry`].
-    pub fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
-        self.sim.set_telemetry(telemetry.clone());
-        self.recorder.attach_telemetry(telemetry.clone());
-        telemetry.count(
-            dpc_telemetry::counters::PLANS_COMPILED,
-            None,
-            self.plans.len() as u64,
-        );
-        if self.lint_warnings > 0 {
-            telemetry.count(
-                dpc_telemetry::counters::LINT_WARNINGS,
-                None,
-                self.lint_warnings,
-            );
-        }
-        self.telemetry = Some(telemetry);
-    }
-
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetryHandle> {
         self.telemetry.as_ref()
-    }
-
-    /// Toggle compiled-plan evaluation after construction (see
-    /// [`RuntimeConfig::compiled_plans`]). Benchmarks use this to compare
-    /// the interpreter against the compiled path on identical workloads.
-    pub fn set_compiled_plans(&mut self, on: bool) {
-        self.config.compiled_plans = on;
     }
 
     /// Headline counters of the run so far, aggregated across nodes:
@@ -776,30 +718,24 @@ impl<R: ProvRecorder> Runtime<R> {
             if let Some(t) = &self.telemetry {
                 t.count("engine.joins_attempted", Some(node.0), 1);
             }
-            let firings = if self.config.compiled_plans {
-                let mut stats = EvalStats::default();
-                let firings =
-                    plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
-                if let Some(t) = &self.telemetry {
-                    if stats.index_hits > 0 {
-                        t.count(
-                            dpc_telemetry::counters::INDEX_HITS,
-                            Some(node.0),
-                            stats.index_hits,
-                        );
-                    }
-                    if stats.index_misses > 0 {
-                        t.count(
-                            dpc_telemetry::counters::INDEX_MISSES,
-                            Some(node.0),
-                            stats.index_misses,
-                        );
-                    }
+            let mut stats = EvalStats::default();
+            let firings = plan.eval(&tuple, &mut self.dbs[node.index()], &self.fns, &mut stats)?;
+            if let Some(t) = &self.telemetry {
+                if stats.index_hits > 0 {
+                    t.count(
+                        dpc_telemetry::counters::INDEX_HITS,
+                        Some(node.0),
+                        stats.index_hits,
+                    );
                 }
-                firings
-            } else {
-                eval_rule(rule, &tuple, &self.dbs[node.index()], &self.fns)?
-            };
+                if stats.index_misses > 0 {
+                    t.count(
+                        dpc_telemetry::counters::INDEX_MISSES,
+                        Some(node.0),
+                        stats.index_misses,
+                    );
+                }
+            }
             for firing in firings {
                 self.rules_fired += 1;
                 self.metrics[node.index()].rules_fired += 1;
@@ -900,11 +836,23 @@ mod tests {
     /// The paper's Figure 2 deployment: 3 nodes in a line, routes at n0
     /// and n1 towards n2 (paper numbering n1,n2,n3 maps to n0,n1,n2).
     fn figure2_runtime() -> Runtime<NoopRecorder> {
-        let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        figure2_deploy(fwd_builder(topo::line(3, Link::STUB_STUB)))
+    }
+
+    /// [`figure2_runtime`] with a telemetry sink attached at build time.
+    fn traced_figure2_runtime(t: &TelemetryHandle) -> Runtime<NoopRecorder> {
+        figure2_deploy(fwd_builder(topo::line(3, Link::STUB_STUB)).telemetry(t.clone()))
+    }
+
+    fn figure2_deploy(b: RuntimeBuilder) -> Runtime<NoopRecorder> {
+        let mut rt = b.build().unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt
+    }
+
+    fn fwd_builder(net: Network) -> RuntimeBuilder {
+        Runtime::builder(programs::packet_forwarding(), net)
     }
 
     #[test]
@@ -946,7 +894,7 @@ mod tests {
     #[test]
     fn packet_without_route_goes_nowhere() {
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        let mut rt = fwd_builder(net).build().unwrap();
         rt.inject(packet(0, 0, 2, "data")).unwrap();
         rt.run().unwrap();
         assert!(rt.outputs().is_empty());
@@ -979,10 +927,7 @@ mod tests {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_timeseries(SimTime::from_millis(1).as_nanos(), 256);
         let net = topo::line(3, Link::STUB_STUB);
-        let mut rt = RuntimeBuilder::new(programs::packet_forwarding(), net)
-            .telemetry(t.clone())
-            .build()
-            .unwrap();
+        let mut rt = fwd_builder(net).telemetry(t.clone()).build().unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         for i in 0..5 {
@@ -1068,7 +1013,7 @@ mod tests {
         let n3 = net.add_node();
         net.add_link(n(0), n3, Link::STUB_STUB).unwrap();
         net.add_link(n3, n(2), Link::STUB_STUB).unwrap();
-        let mut rt = Runtime::new(programs::packet_forwarding(), net, NoopRecorder);
+        let mut rt = fwd_builder(net).build().unwrap();
         rt.install(route(0, 2, 1)).unwrap();
         rt.install(route(1, 2, 2)).unwrap();
         rt.install(route(3, 2, 2)).unwrap();
@@ -1167,7 +1112,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_audits_compiled_plans() {
+    fn builder_audits_every_plan() {
         // A successful build implies every plan passed the audit; make
         // sure the audit also runs standalone over the built plans.
         let rt = Runtime::builder(programs::dns_resolution(), topo::line(2, Link::STUB_STUB))
@@ -1180,8 +1125,7 @@ mod tests {
     fn traced_execution_forms_single_root_tree() {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_span_sampling(1);
-        let mut rt = figure2_runtime();
-        rt.attach_telemetry(t.clone());
+        let mut rt = traced_figure2_runtime(&t);
         rt.inject(packet(0, 0, 2, "data")).unwrap();
         rt.run().unwrap();
         let spans = t.spans();
@@ -1208,8 +1152,7 @@ mod tests {
     fn loss_does_not_orphan_or_leak_spans() {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_span_sampling(1);
-        let mut rt = figure2_runtime();
-        rt.attach_telemetry(t.clone());
+        let mut rt = traced_figure2_runtime(&t);
         // Drop every 2nd message on the n1 -> n2 hop: half the executions
         // never derive their output.
         rt.inject_loss(n(1), n(2), 2);
@@ -1240,8 +1183,7 @@ mod tests {
     fn sampling_traces_subset_of_executions() {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_span_sampling(3);
-        let mut rt = figure2_runtime();
-        rt.attach_telemetry(t.clone());
+        let mut rt = traced_figure2_runtime(&t);
         for i in 0..6 {
             rt.inject(packet(0, 0, 2, &format!("p{i}"))).unwrap();
         }
@@ -1259,8 +1201,7 @@ mod tests {
     fn sig_broadcast_is_traced() {
         let t = dpc_telemetry::Telemetry::handle();
         t.set_span_sampling(1);
-        let mut rt = figure2_runtime();
-        rt.attach_telemetry(t.clone());
+        let mut rt = traced_figure2_runtime(&t);
         rt.update_slow_at(route(1, 0, 0), SimTime::ZERO).unwrap();
         rt.run().unwrap();
         let spans = t.spans();

@@ -141,7 +141,10 @@ fn theorem1_on_generated_programs() {
         let delp = prog.delp();
         let keys = equivalence_keys(&delp);
         let net = topo::line(prog.rules + 1, Link::STUB_STUB);
-        let mut rt = Runtime::new(delp, net, GroundTruthRecorder::new());
+        let mut rt = Runtime::builder(delp, net)
+            .recorder(GroundTruthRecorder::new())
+            .build()
+            .unwrap();
         prog.deploy(&mut rt);
 
         let vals: Vec<i64> = base.iter().take(prog.arity).copied().collect();
@@ -196,7 +199,7 @@ fn advanced_round_trip_on_generated_programs() {
         let n = prog.rules + 1;
         let net = topo::line(n, Link::STUB_STUB);
         let rec = TeeRecorder::new(AdvancedRecorder::new(n, keys), GroundTruthRecorder::new());
-        let mut rt = Runtime::new(delp, net, rec);
+        let mut rt = Runtime::builder(delp, net).recorder(rec).build().unwrap();
         prog.deploy(&mut rt);
 
         for f in &flips {
