@@ -22,6 +22,12 @@
 //! the same node within different equivalence classes. The paper's Table 3
 //! abbreviates the hash inputs; the chained form is the general-case
 //! version.
+//!
+//! The rule-execution rows live either in plain per-node `ruleExec`
+//! tables (Section 5.3) or in the `ruleExecNode`/`ruleExecLink` split of
+//! Section 5.4, held in a [`SharedNodeStore`]. Recorders of several
+//! programs may share one store, so rule executions the programs have in
+//! common are kept once (the paper's Section 8 future work).
 
 use std::collections::{HashMap, HashSet};
 
@@ -31,7 +37,7 @@ use dpc_ndlog::{EquivKeys, Rule};
 use dpc_telemetry::TelemetryHandle;
 
 use crate::storage::{
-    InterClassTables, ProvRowAdv, ProvTableAdv, RuleExecRow, RuleExecTable, RuleExecView,
+    ProvRowAdv, ProvTableAdv, RuleExecRow, RuleExecTable, RuleExecView, SharedNodeStore,
 };
 
 /// Wire overhead Advanced tags onto each shipped tuple: `existFlag` (1) +
@@ -78,10 +84,15 @@ struct Node {
     /// to the post-update tree.
     hmap: HashMap<EqKeyHash, (EvId, Vec<(NodeId, Rid)>)>,
     prov: ProvTableAdv,
-    /// Plain layout (Section 5.3).
-    rule_exec: RuleExecTable,
-    /// Split layout (Section 5.4), used when `inter_class` is on.
-    inter: InterClassTables,
+}
+
+/// Where the rule-execution rows live.
+#[derive(Debug)]
+enum RuleExecStore {
+    /// Plain layout (Section 5.3): one chained `ruleExec` table per node.
+    Plain(Vec<RuleExecTable>),
+    /// Split layout (Section 5.4), possibly shared with other programs.
+    Split(SharedNodeStore),
 }
 
 /// The equivalence-based compression recorder.
@@ -89,7 +100,7 @@ struct Node {
 pub struct AdvancedRecorder {
     keys: EquivKeys,
     nodes: Vec<Node>,
-    inter_class: bool,
+    store: RuleExecStore,
     hmap_misses: u64,
     telemetry: Option<TelemetryHandle>,
 }
@@ -98,16 +109,32 @@ impl AdvancedRecorder {
     /// Create a recorder for `n` nodes using the given equivalence keys
     /// (from static analysis) and the intra-class layout of Section 5.3.
     pub fn new(n: usize, keys: EquivKeys) -> AdvancedRecorder {
-        Self::with_mode(n, keys, false)
+        let tables = (0..n).map(|_| RuleExecTable::new(true)).collect();
+        Self::with_store(n, keys, RuleExecStore::Plain(tables))
     }
 
     /// As [`AdvancedRecorder::new`] but with the Section 5.4
     /// `ruleExecNode`/`ruleExecLink` split enabled.
     pub fn with_inter_class(n: usize, keys: EquivKeys) -> AdvancedRecorder {
-        Self::with_mode(n, keys, true)
+        Self::with_shared_store(keys, SharedNodeStore::new(n))
     }
 
-    fn with_mode(n: usize, keys: EquivKeys, inter_class: bool) -> AdvancedRecorder {
+    /// A recorder for one program whose Section 5.4 split tables live in
+    /// `store`, which the recorders of other programs over the same
+    /// network may share: concrete rule-execution nodes then dedupe across
+    /// programs, while each program keeps its own equivalence-class state
+    /// (`htequi`, `hmap`) and `prov` table.
+    ///
+    /// Rule labels must be unique across the programs sharing `store`,
+    /// except for genuinely shared rules (same head, same body): the
+    /// concrete-node id hashes the label and the joined slow tuples, so a
+    /// label collision between different rules would alias their
+    /// provenance.
+    pub fn with_shared_store(keys: EquivKeys, store: SharedNodeStore) -> AdvancedRecorder {
+        Self::with_store(store.node_count(), keys, RuleExecStore::Split(store))
+    }
+
+    fn with_store(n: usize, keys: EquivKeys, store: RuleExecStore) -> AdvancedRecorder {
         AdvancedRecorder {
             keys,
             nodes: (0..n)
@@ -115,11 +142,9 @@ impl AdvancedRecorder {
                     htequi: HashSet::new(),
                     hmap: HashMap::new(),
                     prov: ProvTableAdv::default(),
-                    rule_exec: RuleExecTable::new(true),
-                    inter: InterClassTables::default(),
                 })
                 .collect(),
-            inter_class,
+            store,
             hmap_misses: 0,
             telemetry: None,
         }
@@ -143,16 +168,6 @@ impl AdvancedRecorder {
             n.htequi.len() as i64,
         );
         t.gauge("recorder.hmap_entries", Some(node.0), n.hmap.len() as i64);
-    }
-
-    /// The equivalence keys in use.
-    pub fn keys(&self) -> &EquivKeys {
-        &self.keys
-    }
-
-    /// Is the Section 5.4 split layout active?
-    pub fn inter_class(&self) -> bool {
-        self.inter_class
     }
 
     /// Times an `existFlag = true` execution found no `hmap` entry at its
@@ -188,39 +203,27 @@ impl AdvancedRecorder {
             .flat_map(move |n| n.prov.get_all(vid, evid))
     }
 
-    /// All `prov` rows for an output tuple vid at `loc`.
-    pub fn prov_rows_for_vid<'a>(
-        &'a self,
-        loc: NodeId,
-        vid: &'a Vid,
-    ) -> impl Iterator<Item = &'a ProvRowAdv> {
-        self.nodes
-            .get(loc.index())
-            .into_iter()
-            .flat_map(move |n| n.prov.rows_for_vid(vid))
-    }
-
     /// Resolve a rule-execution provenance node, uniform across layouts.
     pub fn rule_exec(&self, loc: NodeId, rid: &Rid) -> Option<RuleExecView> {
-        let node = self.nodes.get(loc.index())?;
-        if self.inter_class {
-            node.inter.get(rid)
-        } else {
-            node.rule_exec.get(rid).map(|r| RuleExecView {
-                rule: r.rule.clone(),
-                vids: r.vids.clone(),
-                next: r.next,
-            })
+        match &self.store {
+            RuleExecStore::Plain(tables) => {
+                tables.get(loc.index())?.get(rid).map(|r| RuleExecView {
+                    rule: r.rule.clone(),
+                    vids: r.vids.clone(),
+                    next: r.next,
+                })
+            }
+            RuleExecStore::Split(store) => store.get(loc, rid),
         }
     }
 
-    /// Row counts at `node`: `(prov, ruleExec-or-link rows)`.
+    /// Row counts at `node`: `(prov, ruleExec-or-link rows)`. Link rows
+    /// count every program sharing the store.
     pub fn row_counts(&self, node: NodeId) -> (usize, usize) {
-        let n = &self.nodes[node.index()];
-        if self.inter_class {
-            (n.prov.len(), n.inter.link_rows())
-        } else {
-            (n.prov.len(), n.rule_exec.len())
+        let prov = self.nodes[node.index()].prov.len();
+        match &self.store {
+            RuleExecStore::Plain(tables) => (prov, tables[node.index()].len()),
+            RuleExecStore::Split(store) => (prov, store.link_rows(node)),
         }
     }
 
@@ -232,12 +235,18 @@ impl AdvancedRecorder {
     /// Snapshot of the `ruleExec` rows at `node` (plain layout; empty when
     /// the inter-class split is active — use the counts instead).
     pub fn rule_exec_rows_at(&self, node: NodeId) -> Vec<RuleExecRow> {
-        self.nodes[node.index()].rule_exec.iter().cloned().collect()
+        match &self.store {
+            RuleExecStore::Plain(tables) => tables[node.index()].iter().cloned().collect(),
+            RuleExecStore::Split(_) => Vec::new(),
+        }
     }
 
     /// Concrete shared node rows at `node` (split layout only).
     pub fn node_row_count(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].inter.node_rows()
+        match &self.store {
+            RuleExecStore::Plain(_) => 0,
+            RuleExecStore::Split(store) => store.node_rows(node),
+        }
     }
 
     /// Total storage across all nodes.
@@ -245,6 +254,14 @@ impl AdvancedRecorder {
         (0..self.nodes.len())
             .map(|i| self.storage_at(NodeId(i as u32)))
             .sum()
+    }
+
+    /// This program's `prov`-table bytes at `node`. With a store shared
+    /// across programs, combined storage is each program's
+    /// `prov_storage_at` plus one [`SharedNodeStore::storage_at`], so the
+    /// shared tables are not double-counted.
+    pub fn prov_storage_at(&self, node: NodeId) -> usize {
+        self.nodes[node.index()].prov.bytes()
     }
 
     /// Size of the auxiliary runtime state (`htequi` + `hmap`) at `node`.
@@ -308,22 +325,23 @@ impl ProvRecorder for AdvancedRecorder {
             vids: slow_vids.clone(),
             next: meta.prev,
         };
-        if self.inter_class {
-            let nrid = node_rid(&rule.label, &slow_vids);
-            let saved = self.nodes[node.index()]
-                .inter
-                .insert(nrid, row, rid, meta.prev);
-            if saved > 0 {
-                if let Some(t) = &self.telemetry {
-                    t.count(
-                        "recorder.interclass_saved_bytes",
-                        Some(node.0),
-                        saved as u64,
-                    );
+        match &mut self.store {
+            RuleExecStore::Plain(tables) => {
+                tables[node.index()].insert(row);
+            }
+            RuleExecStore::Split(store) => {
+                let nrid = node_rid(&rule.label, &slow_vids);
+                let saved = store.insert(node, nrid, row, rid, meta.prev);
+                if saved > 0 {
+                    if let Some(t) = &self.telemetry {
+                        t.count(
+                            "recorder.interclass_saved_bytes",
+                            Some(node.0),
+                            saved as u64,
+                        );
+                    }
                 }
             }
-        } else {
-            self.nodes[node.index()].rule_exec.insert(row);
         }
         self.report_tables(node);
         out.prev = Some((node, rid));
@@ -384,13 +402,11 @@ impl ProvRecorder for AdvancedRecorder {
     }
 
     fn storage_at(&self, node: NodeId) -> usize {
-        let n = &self.nodes[node.index()];
-        let re = if self.inter_class {
-            n.inter.bytes()
-        } else {
-            n.rule_exec.bytes()
+        let re = match &self.store {
+            RuleExecStore::Plain(tables) => tables[node.index()].bytes(),
+            RuleExecStore::Split(store) => store.storage_at(node),
         };
-        n.prov.bytes() + re
+        self.prov_storage_at(node) + re
     }
 
     fn attach_telemetry(&mut self, telemetry: TelemetryHandle) {
@@ -624,5 +640,195 @@ mod tests {
         rt.run().unwrap();
         assert!(rt.recorder().aux_storage_at(n(0)) > 0); // htequi entry
         assert!(rt.recorder().aux_storage_at(n(2)) > 0); // hmap entry
+    }
+
+    #[test]
+    fn rematerialized_chain_saves_no_bytes() {
+        // A sig makes the class re-materialize the same chain: no rule
+        // execution row is stored, so no inter-class saving is reported.
+        let t = dpc_telemetry::Telemetry::handle();
+        let rec = AdvancedRecorder::with_inter_class(3, fwd_keys());
+        let mut rt = forwarding::runtime_builder(topo::line(3, Link::STUB_STUB))
+            .recorder(rec)
+            .telemetry(t.clone())
+            .build()
+            .unwrap();
+        for i in 0..2 {
+            rt.install(route(i, 2, i + 1)).unwrap();
+        }
+        rt.inject(packet(0, 0, 2, "one")).unwrap();
+        rt.run().unwrap();
+        let before = rt.recorder().total_storage();
+        rt.update_slow_at(route(1, 0, 0), rt.now()).unwrap();
+        rt.run().unwrap();
+        rt.inject(packet(0, 0, 2, "two")).unwrap();
+        rt.run().unwrap();
+        // Only the second packet's prov row was added.
+        assert_eq!(rt.recorder().total_storage(), before + 68);
+        assert_eq!(t.counter_total("recorder.interclass_saved_bytes"), 0);
+    }
+
+    /// A second program sharing the forwarding rule `r1` but logging
+    /// instead of receiving.
+    const MIRROR: &str = r#"
+        r1 packet(@N, S, D, DT) :- packet(@L, S, D, DT), route(@L, D, N).
+        r9 logged(@L, S, D, DT) :- packet(@L, S, D, DT), D == L.
+    "#;
+
+    fn mirror() -> dpc_ndlog::Delp {
+        dpc_ndlog::Delp::new(dpc_ndlog::parse_program(MIRROR).unwrap()).unwrap()
+    }
+
+    /// A 4-node line running `delp` with routes toward n3.
+    fn line4<R: ProvRecorder>(delp: dpc_ndlog::Delp, rec: R) -> Runtime<R> {
+        let net = topo::line(4, Link::STUB_STUB);
+        let mut rt = Runtime::builder(delp, net).recorder(rec).build().unwrap();
+        for i in 0..3u32 {
+            rt.install(route(i, 3, i + 1)).unwrap();
+        }
+        rt
+    }
+
+    #[test]
+    fn shared_rules_dedupe_across_programs() {
+        let store = SharedNodeStore::new(4);
+        let keys_b = equivalence_keys(&mirror());
+        let mut rt_a = line4(
+            programs::packet_forwarding(),
+            AdvancedRecorder::with_shared_store(fwd_keys(), store.clone()),
+        );
+        let mut rt_b = line4(
+            mirror(),
+            AdvancedRecorder::with_shared_store(keys_b, store.clone()),
+        );
+
+        rt_a.inject(packet(0, 0, 3, "a")).unwrap();
+        rt_a.run().unwrap();
+        let after_a = store.total_storage();
+        let nodes_after_a: usize = (0..4).map(|i| store.node_rows(n(i))).sum();
+
+        rt_b.inject(packet(0, 0, 3, "b")).unwrap();
+        rt_b.run().unwrap();
+        let after_b = store.total_storage();
+        let nodes_after_b: usize = (0..4).map(|i| store.node_rows(n(i))).sum();
+
+        // Program B added its chain links, but the three r1 concrete nodes
+        // were already there: only r9's node is new.
+        assert_eq!(nodes_after_b, nodes_after_a + 1);
+        // The growth is link rows + one node row, well under a full tree.
+        assert!(
+            after_b - after_a < after_a,
+            "store grew {after_a} -> {after_b}"
+        );
+    }
+
+    #[test]
+    fn cross_program_outputs_remain_queryable() {
+        use crate::query::{query_advanced, QueryCtx};
+        use crate::reference::GroundTruthRecorder;
+        use dpc_engine::TeeRecorder;
+
+        let store = SharedNodeStore::new(4);
+        let keys_b = equivalence_keys(&mirror());
+        let mut rt_a = line4(
+            programs::packet_forwarding(),
+            TeeRecorder::new(
+                AdvancedRecorder::with_shared_store(fwd_keys(), store.clone()),
+                GroundTruthRecorder::new(),
+            ),
+        );
+        let mut rt_b = line4(
+            mirror(),
+            TeeRecorder::new(
+                AdvancedRecorder::with_shared_store(keys_b, store),
+                GroundTruthRecorder::new(),
+            ),
+        );
+        rt_a.inject(packet(0, 0, 3, "a")).unwrap();
+        rt_a.run().unwrap();
+        rt_b.inject(packet(1, 1, 3, "b")).unwrap();
+        rt_b.run().unwrap();
+
+        for rt in [&rt_a, &rt_b] {
+            let ctx = QueryCtx::from_runtime(rt);
+            for out in rt.outputs() {
+                let got =
+                    query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid).unwrap();
+                let want = rt
+                    .recorder()
+                    .shadow
+                    .tree_for(&out.tuple, &out.evid)
+                    .unwrap();
+                assert_eq!(&got.tree, want);
+            }
+        }
+    }
+
+    #[test]
+    fn combined_storage_beats_independent_recorders() {
+        // Two programs sharing r1: one shared store vs two independent
+        // inter-class recorders.
+        let keys_b = equivalence_keys(&mirror());
+        let mut ind_a = line4(
+            programs::packet_forwarding(),
+            AdvancedRecorder::with_inter_class(4, fwd_keys()),
+        );
+        let mut ind_b = line4(
+            mirror(),
+            AdvancedRecorder::with_inter_class(4, keys_b.clone()),
+        );
+        let store = SharedNodeStore::new(4);
+        let mut sh_a = line4(
+            programs::packet_forwarding(),
+            AdvancedRecorder::with_shared_store(fwd_keys(), store.clone()),
+        );
+        let mut sh_b = line4(
+            mirror(),
+            AdvancedRecorder::with_shared_store(keys_b, store.clone()),
+        );
+
+        for s in 0..3u32 {
+            for rt in [&mut ind_a, &mut ind_b, &mut sh_a, &mut sh_b] {
+                rt.inject(packet(s, s, 3, "x")).unwrap();
+                rt.run().unwrap();
+            }
+        }
+
+        let independent: usize = (0..4)
+            .map(|i| ind_a.recorder().storage_at(n(i)) + ind_b.recorder().storage_at(n(i)))
+            .sum();
+        let shared: usize = store.total_storage()
+            + (0..4)
+                .map(|i| {
+                    sh_a.recorder().prov_storage_at(n(i)) + sh_b.recorder().prov_storage_at(n(i))
+                })
+                .sum::<usize>();
+        assert!(
+            shared < independent,
+            "shared {shared} should undercut independent {independent}"
+        );
+    }
+
+    #[test]
+    fn store_handles_share_state() {
+        let store = SharedNodeStore::new(2);
+        let handle = store.clone();
+        store.insert(
+            n(0),
+            Rid::of_bytes(b"node"),
+            RuleExecRow {
+                rloc: n(0),
+                rid: Rid::of_bytes(b"chain"),
+                rule: "r1".into(),
+                vids: vec![],
+                next: None,
+            },
+            Rid::of_bytes(b"chain"),
+            None,
+        );
+        assert_eq!(handle.node_rows(n(0)), 1);
+        assert!(handle.get(n(0), &Rid::of_bytes(b"chain")).is_some());
+        assert!(handle.get(n(1), &Rid::of_bytes(b"chain")).is_none());
+        assert_eq!(store.total_storage(), handle.total_storage());
     }
 }

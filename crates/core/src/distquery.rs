@@ -20,10 +20,11 @@ use dpc_common::{Error, EvId, NodeId, Result, Tuple};
 use dpc_netsim::{Sim, SimTime};
 use dpc_telemetry::{AttrValue, SpanContext, TelemetryHandle};
 
+use crate::advanced::AdvancedRecorder;
 use crate::basic::BasicRecorder;
 use crate::exspan::ExspanRecorder;
 use crate::plan::{walk_advanced, walk_basic, walk_exspan, Derivation, Route, Stop};
-use crate::query::{AdvancedStore, QueryCtx};
+use crate::query::QueryCtx;
 use crate::tree::ProvTree;
 
 /// Outcome of a simulated distributed query.
@@ -239,9 +240,9 @@ fn execute(
 /// Execute the Advanced query of Section 5.6 for `output`/`evid` as
 /// simulated messages: the chain query of every stored derivation tried
 /// before the one that reproduces `output`.
-pub fn simulate_query_advanced<S: AdvancedStore>(
+pub fn simulate_query_advanced(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
     trace: Option<&QueryTrace>,
@@ -283,9 +284,9 @@ pub fn simulate_query_exspan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advanced::AdvancedRecorder;
     use crate::query::{query_advanced, QueryCostModel};
     use crate::reference::GroundTruthRecorder;
+    use crate::storage::SharedNodeStore;
     use dpc_apps::forwarding;
     use dpc_engine::{ProvRecorder, Runtime, TeeRecorder};
     use dpc_ndlog::{equivalence_keys, programs};
@@ -663,13 +664,23 @@ mod tests {
         let model = crate::query::query_basic(&ctx, rt.recorder(), &out.tuple).unwrap();
         assert_eq!(fetched(&tel), (model.fetches, model.bytes), "basic");
 
-        for inter_class in [false, true] {
-            let keys = equivalence_keys(&programs::packet_forwarding());
-            let rec = if inter_class {
-                AdvancedRecorder::with_inter_class(len, keys)
-            } else {
-                AdvancedRecorder::new(len, keys)
-            };
+        // A shared store already holding another recorder's chain: the
+        // walk reads rows that recorder wrote.
+        let keys = equivalence_keys(&programs::packet_forwarding());
+        let shared = SharedNodeStore::new(len);
+        let k = || keys.clone();
+        line_run(
+            len,
+            AdvancedRecorder::with_shared_store(k(), shared.clone()),
+        );
+        for (layout, rec) in [
+            ("plain", AdvancedRecorder::new(len, k())),
+            ("inter-class", AdvancedRecorder::with_inter_class(len, k())),
+            (
+                "shared store",
+                AdvancedRecorder::with_shared_store(k(), shared),
+            ),
+        ] {
             let rt = line_run(len, rec);
             let (out, ctx) = (&rt.outputs()[0], QueryCtx::from_runtime(&rt));
             let (tel, qt) = traced();
@@ -678,7 +689,7 @@ mod tests {
             assert_eq!(
                 fetched(&tel),
                 (model.fetches, model.bytes),
-                "advanced (inter-class: {inter_class})"
+                "advanced ({layout})"
             );
         }
     }

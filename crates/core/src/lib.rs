@@ -19,7 +19,9 @@
 //!   small `prov` row associating their output tuple (and `evid`) with the
 //!   shared tree (Table 3). Optionally, rule-execution *nodes* are shared
 //!   across classes via the `ruleExecNode`/`ruleExecLink` split of
-//!   Section 5.4.
+//!   Section 5.4, held in a [`SharedNodeStore`]; recorders of several
+//!   programs may share one store, so rule executions the programs have
+//!   in common are kept once (the paper's Section 8 future work).
 //!
 //! [`GroundTruthRecorder`] captures full provenance trees directly from the
 //! execution — the oracle against which the correctness theorems
@@ -35,7 +37,6 @@
 
 pub mod advanced;
 pub mod basic;
-pub mod crossprog;
 pub mod distquery;
 pub mod dump;
 pub mod exspan;
@@ -51,15 +52,14 @@ pub mod tree;
 
 pub use advanced::AdvancedRecorder;
 pub use basic::BasicRecorder;
-pub use crossprog::{CrossProgramRecorder, SharedNodeStore};
 pub use distquery::{
     simulate_query_advanced, simulate_query_basic, simulate_query_exspan, QueryTrace,
     SimulatedQuery,
 };
 pub use exspan::ExspanRecorder;
 pub use query::{
-    query_advanced, query_advanced_all, query_basic, query_exspan, AdvancedStore, QueryCostModel,
-    QueryCtx, QueryResult, TupleResolver,
+    query_advanced, query_advanced_all, query_basic, query_exspan, QueryCostModel, QueryCtx,
+    QueryResult, TupleResolver,
 };
 pub use reference::GroundTruthRecorder;
 pub use replay::{ReplayLog, ReplayOp, ReplayableRuntime};
@@ -67,5 +67,5 @@ pub use scheme::Scheme;
 pub use selfhost::{
     extend_input_event, extend_input_event_advanced, register_advanced_fns, register_provenance_fns,
 };
-pub use storage::{ProvRow, ProvRowAdv, RuleExecRow, RuleExecView};
+pub use storage::{ProvRow, ProvRowAdv, RuleExecRow, RuleExecView, SharedNodeStore};
 pub use tree::ProvTree;

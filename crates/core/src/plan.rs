@@ -16,9 +16,10 @@
 
 use dpc_common::{Error, EvId, NodeId, Result, Rid, StorageSize, Tuple, Vid};
 
+use crate::advanced::AdvancedRecorder;
 use crate::basic::BasicRecorder;
 use crate::exspan::ExspanRecorder;
-use crate::query::{AdvancedStore, QueryCtx};
+use crate::query::QueryCtx;
 use crate::reconstruct::{reconstruct, ChainLevel};
 use crate::storage::RuleExecView;
 use crate::tree::ProvTree;
@@ -296,15 +297,15 @@ pub(crate) fn walk_basic(
 /// compressed execution. Without `all` the walk stops at the first that
 /// reproduces `output`, so the last derivation returned is the answer;
 /// with `all` every stored derivation is walked.
-pub(crate) fn walk_advanced<S: AdvancedStore>(
+pub(crate) fn walk_advanced(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
     all: bool,
 ) -> Result<Vec<Derivation>> {
-    let querier = output.loc()?;
-    let provs = rec.lookup_prov(querier, &output.vid(), evid);
+    let (querier, vid) = (output.loc()?, output.vid());
+    let provs: Vec<_> = rec.prov_rows(querier, &vid, evid).collect();
     if provs.is_empty() {
         return Err(Error::ProvenanceLookup(format!(
             "no prov row for {output} / {evid} at {querier}"
@@ -318,7 +319,7 @@ pub(crate) fn walk_advanced<S: AdvancedStore>(
             prov.storage_size(),
             (prov.rloc, prov.rid),
             TailEvent::Evid(evid),
-            |loc, rid| rec.lookup_rule_exec(loc, rid),
+            |loc, rid| rec.rule_exec(loc, rid),
         )?;
         let hit = d.tree.output() == output;
         walked.push(d);

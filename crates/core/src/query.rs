@@ -40,7 +40,6 @@ use crate::advanced::AdvancedRecorder;
 use crate::basic::BasicRecorder;
 use crate::exspan::ExspanRecorder;
 use crate::plan::{walk_advanced, walk_basic, walk_exspan, Derivation, Route};
-use crate::storage::ProvRowAdv;
 use crate::tree::ProvTree;
 
 /// Resolves tuple contents at query time: the leaf tuples referenced by
@@ -183,42 +182,15 @@ pub fn query_basic(ctx: &QueryCtx<'_>, rec: &BasicRecorder, output: &Tuple) -> R
     price(ctx, vec![walk_basic(ctx, rec, output)?])
 }
 
-/// Storage interface the Advanced query walks: implemented by
-/// [`AdvancedRecorder`] and by the cross-program recorder
-/// ([`crate::crossprog::CrossProgramRecorder`]).
-pub trait AdvancedStore {
-    /// All `prov` rows for one output tuple and execution (`GET_PROV`).
-    fn lookup_prov(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> Vec<ProvRowAdv>;
-    /// Resolve one rule-execution provenance node.
-    fn lookup_rule_exec(
-        &self,
-        loc: NodeId,
-        rid: &dpc_common::Rid,
-    ) -> Option<crate::storage::RuleExecView>;
-}
-
-impl AdvancedStore for AdvancedRecorder {
-    fn lookup_prov(&self, loc: NodeId, vid: &Vid, evid: &EvId) -> Vec<ProvRowAdv> {
-        self.prov_rows(loc, vid, evid).cloned().collect()
-    }
-    fn lookup_rule_exec(
-        &self,
-        loc: NodeId,
-        rid: &dpc_common::Rid,
-    ) -> Option<crate::storage::RuleExecView> {
-        self.rule_exec(loc, rid)
-    }
-}
-
 /// Query an Advanced-maintained provenance tree for `output` derived by the
 /// execution identified by `evid` (Section 5.6).
 ///
 /// An execution may have stored several derivations (`GET_PROV` returns a
 /// list; Appendix E); each is walked and reconstructed in turn, and the
 /// one reproducing `output` is returned.
-pub fn query_advanced<S: AdvancedStore>(
+pub fn query_advanced(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
 ) -> Result<QueryResult> {
@@ -229,9 +201,9 @@ pub fn query_advanced<S: AdvancedStore>(
 /// of `output` by the execution `evid` — the set `M`. Multiple
 /// derivations arise when a rule joined several slow rows that produced
 /// the same head tuple.
-pub fn query_advanced_all<S: AdvancedStore>(
+pub fn query_advanced_all(
     ctx: &QueryCtx<'_>,
-    rec: &S,
+    rec: &AdvancedRecorder,
     output: &Tuple,
     evid: &EvId,
 ) -> Result<Vec<QueryResult>> {

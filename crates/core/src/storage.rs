@@ -8,6 +8,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dpc_common::{EvId, NodeId, Rid, StorageSize, Vid};
 
@@ -208,14 +209,6 @@ impl ProvTableAdv {
         self.rows.values()
     }
 
-    /// All rows for an output tuple vid (any execution).
-    pub fn rows_for_vid<'a>(&'a self, vid: &'a Vid) -> impl Iterator<Item = &'a ProvRowAdv> {
-        self.rows
-            .iter()
-            .filter(move |((v, _, _), _)| v == vid)
-            .map(|(_, r)| r)
-    }
-
     /// Serialized size in bytes.
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -305,8 +298,10 @@ pub struct InterClassTables {
 impl InterClassTables {
     /// Insert the concrete node row (idempotent; this is where cross-class
     /// sharing happens) and the per-tree link row. Returns the node-row
-    /// bytes *saved* by sharing: the row's serialized size when an equal
-    /// concrete node already existed, 0 when this insert materialized it.
+    /// bytes *saved* by sharing: the row's serialized size when a new link
+    /// row reuses an existing concrete node, 0 otherwise — including when
+    /// the link row already existed (a chain re-materialized after a
+    /// `sig`), since then nothing was stored at all.
     pub fn insert(
         &mut self,
         node_rid: Rid,
@@ -323,17 +318,20 @@ impl InterClassTables {
             }
             Entry::Occupied(_) => node_row.size_bytes(false),
         };
-        if let Entry::Vacant(v) = self.links.entry(chain_rid) {
-            // Link row: (RLoc, RID, NLoc, NRID) as in Table 4 — in the
-            // paper's layout the link table is scoped per tree, so the
-            // stored RID is the concrete node id and tree identity is
-            // implicit. Our in-memory key is a chain-dependent rid (which
-            // encodes the tree suffix); it maps 1:1 onto the per-tree rows,
-            // so we charge the Table 4 row width.
-            self.link_bytes += 4 + 20 + next.storage_size();
-            v.insert((node_rid, next));
+        match self.links.entry(chain_rid) {
+            Entry::Vacant(v) => {
+                // Link row: (RLoc, RID, NLoc, NRID) as in Table 4 — in the
+                // paper's layout the link table is scoped per tree, so the
+                // stored RID is the concrete node id and tree identity is
+                // implicit. Our in-memory key is a chain-dependent rid
+                // (which encodes the tree suffix); it maps 1:1 onto the
+                // per-tree rows, so we charge the Table 4 row width.
+                self.link_bytes += 4 + 20 + next.storage_size();
+                v.insert((node_rid, next));
+                saved
+            }
+            Entry::Occupied(_) => 0,
         }
-        saved
     }
 
     /// Resolve a chain rid to a full view (join of link and node rows).
@@ -360,6 +358,78 @@ impl InterClassTables {
     /// Number of link rows.
     pub fn link_rows(&self) -> usize {
         self.links.len()
+    }
+}
+
+/// Section 5.4 `ruleExecNode`/`ruleExecLink` tables for every node of a
+/// network, behind a shared handle. One store per recorder gives the plain
+/// inter-class layout; one store shared by the recorders of several
+/// programs dedupes the rule executions they have in common — the
+/// cross-program compression the paper proposes as future work
+/// (Section 8). The simulation is single-threaded; the lock makes the
+/// sharing explicit and keeps the handle `Send`.
+#[derive(Debug, Clone)]
+pub struct SharedNodeStore {
+    inner: Arc<Mutex<Vec<InterClassTables>>>,
+}
+
+impl SharedNodeStore {
+    /// A store for a network of `n` nodes.
+    pub fn new(n: usize) -> SharedNodeStore {
+        SharedNodeStore {
+            inner: Arc::new(Mutex::new(
+                (0..n).map(|_| InterClassTables::default()).collect(),
+            )),
+        }
+    }
+
+    fn tables(&self) -> MutexGuard<'_, Vec<InterClassTables>> {
+        self.inner
+            .lock()
+            .expect("a recorder panicked while writing the shared store")
+    }
+
+    /// Serialized size of the tables at `node`, shared by every recorder
+    /// over this store — count it once, not per program.
+    pub fn storage_at(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].bytes()
+    }
+
+    /// Total storage across all nodes.
+    pub fn total_storage(&self) -> usize {
+        self.tables().iter().map(InterClassTables::bytes).sum()
+    }
+
+    /// Concrete node rows at `node`.
+    pub fn node_rows(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].node_rows()
+    }
+
+    /// Link rows at `node`.
+    pub fn link_rows(&self, node: NodeId) -> usize {
+        self.tables()[node.index()].link_rows()
+    }
+
+    /// Number of nodes the store covers.
+    pub(crate) fn node_count(&self) -> usize {
+        self.tables().len()
+    }
+
+    /// [`InterClassTables::insert`] at `node`.
+    pub(crate) fn insert(
+        &self,
+        node: NodeId,
+        node_rid: Rid,
+        node_row: RuleExecRow,
+        chain_rid: Rid,
+        next: Option<(NodeId, Rid)>,
+    ) -> usize {
+        self.tables()[node.index()].insert(node_rid, node_row, chain_rid, next)
+    }
+
+    /// [`InterClassTables::get`] at `node`.
+    pub(crate) fn get(&self, node: NodeId, chain_rid: &Rid) -> Option<RuleExecView> {
+        self.tables().get(node.index())?.get(chain_rid)
     }
 }
 
@@ -454,7 +524,6 @@ mod tests {
         assert!(t.insert(mk(2))); // same vid, different execution
         assert!(!t.insert(mk(1)));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.rows_for_vid(&vid(1)).count(), 2);
         assert!(t.get(&vid(1), &evid(1)).is_some());
         assert!(t.get(&vid(1), &evid(3)).is_none());
     }
@@ -514,9 +583,10 @@ mod tests {
             vids: vec![],
             next: None,
         };
-        t.insert(rid(10), node_row.clone(), rid(1), None);
+        assert_eq!(t.insert(rid(10), node_row.clone(), rid(1), None), 0);
         let bytes = t.bytes();
-        t.insert(rid(10), node_row, rid(1), None);
+        // Re-inserting an existing chain stores nothing and saves nothing.
+        assert_eq!(t.insert(rid(10), node_row, rid(1), None), 0);
         assert_eq!(t.bytes(), bytes);
     }
 

@@ -11,6 +11,7 @@
 //! case reproduces) are driven through all schemes and compared against
 //! the ground truth.
 
+use dpc::core::SharedNodeStore;
 use dpc::netsim::topo;
 use dpc::prelude::*;
 use dpc_common::{Rng, SeededRng};
@@ -23,8 +24,13 @@ fn n(i: u32) -> NodeId {
 
 /// Build a line runtime with routes from every node toward every node.
 fn full_line<R: ProvRecorder>(len: usize, rec: R) -> Runtime<R> {
+    full_line_running(programs::packet_forwarding(), len, rec)
+}
+
+/// [`full_line`] running any program over the forwarding `route` table.
+fn full_line_running<R: ProvRecorder>(delp: Delp, len: usize, rec: R) -> Runtime<R> {
     let net = topo::line(len, Link::STUB_STUB);
-    let mut rt = forwarding::make_runtime(net, rec);
+    let mut rt = Runtime::builder(delp, net).recorder(rec).build().unwrap();
     for s in 0..len as u32 {
         for d in 0..len as u32 {
             if s == d {
@@ -140,6 +146,54 @@ fn theorem3_and_5_inter_class_round_trip() {
                 .tree_for(&out.tuple, &out.evid)
                 .expect("ground truth recorded");
             assert_eq!(&got.tree, want);
+        }
+    }
+}
+
+/// The same round trip for two programs whose recorders share one
+/// Section 5.4 store (the Section 8 cross-program extension): packet
+/// forwarding and a mirror program that reuses its rule `r1`.
+#[test]
+fn theorem3_and_5_shared_store_round_trip() {
+    const MIRROR: &str = r#"
+        r1 packet(@N, S, D, DT) :- packet(@L, S, D, DT), route(@L, D, N).
+        r9 logged(@L, S, D, DT) :- packet(@L, S, D, DT), D == L.
+    "#;
+    for case in 0..CASES {
+        let mut rng = SeededRng::seed_from_u64(0x25_000 + case);
+        let store = SharedNodeStore::new(5);
+        let mut runtimes = Vec::new();
+        for delp in [
+            programs::packet_forwarding(),
+            Delp::new(parse_program(MIRROR).unwrap()).unwrap(),
+        ] {
+            let rec = TeeRecorder::new(
+                AdvancedRecorder::with_shared_store(equivalence_keys(&delp), store.clone()),
+                GroundTruthRecorder::new(),
+            );
+            runtimes.push(full_line_running(delp, 5, rec));
+        }
+        let count = rng.random_range(1..10u64) as usize;
+        for _ in 0..count {
+            let (s, d, p) = random_packet(&mut rng, 5);
+            let rt = &mut runtimes[rng.random_range(0..2u32) as usize];
+            rt.inject(forwarding::packet(n(s), n(s), n(d), p)).unwrap();
+            rt.run().unwrap();
+        }
+        let outputs: usize = runtimes.iter().map(|rt| rt.outputs().len()).sum();
+        assert_eq!(outputs, count);
+        for rt in &runtimes {
+            let ctx = QueryCtx::from_runtime(rt);
+            for out in rt.outputs() {
+                let got = query_advanced(&ctx, &rt.recorder().primary, &out.tuple, &out.evid)
+                    .expect("queryable");
+                let want = rt
+                    .recorder()
+                    .shadow
+                    .tree_for(&out.tuple, &out.evid)
+                    .expect("ground truth recorded");
+                assert_eq!(&got.tree, want);
+            }
         }
     }
 }
